@@ -221,18 +221,27 @@ TEST_P(SelfCheckModel, LatchUpPinsTheErrorOutputUntilCleared) {
   EXPECT_FALSE(a.error());
 }
 
+// A namespace-scope table has static storage, so the padding inside each
+// case is zero: gtest prints the parameter's raw bytes into the test
+// name, and uninitialised padding would make that name change per build.
+const ScParam kSelfCheckModelCases[] = {
+    {1, CheckMode::kDuplicate},
+    {2, CheckMode::kDuplicate},
+    {3, CheckMode::kDuplicate},
+    {4, CheckMode::kDuplicate},
+    {5, CheckMode::kDuplicate},
+    {6, CheckMode::kDuplicate},
+    {1, CheckMode::kTmr},
+    {2, CheckMode::kTmr},
+    {3, CheckMode::kTmr},
+    {4, CheckMode::kTmr},
+    {5, CheckMode::kTmr},
+    {6, CheckMode::kTmr},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Exhaustive, SelfCheckModel,
-    ::testing::Values(ScParam{1, CheckMode::kDuplicate},
-                      ScParam{2, CheckMode::kDuplicate},
-                      ScParam{3, CheckMode::kDuplicate},
-                      ScParam{4, CheckMode::kDuplicate},
-                      ScParam{5, CheckMode::kDuplicate},
-                      ScParam{6, CheckMode::kDuplicate},
-                      ScParam{1, CheckMode::kTmr}, ScParam{2, CheckMode::kTmr},
-                      ScParam{3, CheckMode::kTmr}, ScParam{4, CheckMode::kTmr},
-                      ScParam{5, CheckMode::kTmr},
-                      ScParam{6, CheckMode::kTmr}));
+    ::testing::ValuesIn(kSelfCheckModelCases));
 
 // ================================================= netlist equivalence
 
@@ -303,13 +312,19 @@ TEST_P(SelfCheckNetlist, NetlistMatchesBehavioralModelUnderUpsets) {
   }
 }
 
+// Zero padding keeps the test names stable (see kSelfCheckModelCases).
+const ScParam kSelfCheckNetlistCases[] = {
+    {2, CheckMode::kDuplicate},
+    {3, CheckMode::kDuplicate},
+    {4, CheckMode::kDuplicate},
+    {2, CheckMode::kTmr},
+    {3, CheckMode::kTmr},
+    {4, CheckMode::kTmr},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SelfCheckNetlist,
-    ::testing::Values(ScParam{2, CheckMode::kDuplicate},
-                      ScParam{3, CheckMode::kDuplicate},
-                      ScParam{4, CheckMode::kDuplicate},
-                      ScParam{2, CheckMode::kTmr}, ScParam{3, CheckMode::kTmr},
-                      ScParam{4, CheckMode::kTmr}));
+    ::testing::ValuesIn(kSelfCheckNetlistCases));
 
 TEST(SelfCheckPrechar, RedundancyIsPricedAlongsideThePlainVariant) {
   const auto& plain = core::generate_round_robin_cached(

@@ -569,14 +569,21 @@ TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
         << "port " << i << " never granted";
 }
 
+// A namespace-scope table has static storage, so the padding inside each
+// case is zero: gtest prints the parameter's raw bytes into the test
+// name, and uninitialised padding would make that name change per build.
+const WideParam kWideFuzzCases[] = {
+    {ArbiterKind::kHierarchical, 64, 4},
+    {ArbiterKind::kHierarchical, 256, 2},
+    {ArbiterKind::kPrefix, 64, 0},
+    {ArbiterKind::kPrefix, 256, 0},
+    {ArbiterKind::kFlatFsm, 128, 0},
+    {ArbiterKind::kFlatFsm, 256, 0},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, WideFuzz,
-    ::testing::Values(WideParam{ArbiterKind::kHierarchical, 64, 4},
-                      WideParam{ArbiterKind::kHierarchical, 256, 2},
-                      WideParam{ArbiterKind::kPrefix, 64, 0},
-                      WideParam{ArbiterKind::kPrefix, 256, 0},
-                      WideParam{ArbiterKind::kFlatFsm, 128, 0},
-                      WideParam{ArbiterKind::kFlatFsm, 256, 0}),
+    ::testing::ValuesIn(kWideFuzzCases),
     [](const auto& pi) {
       return std::string(to_string(pi.param.kind)) + "_n" +
              std::to_string(pi.param.n) +

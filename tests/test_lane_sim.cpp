@@ -156,20 +156,27 @@ TEST_P(LaneLockstep, AllEnginesAgreeUnderRandomRequestsAndSeus) {
   lockstep(g.synth.netlist, n, 7001 + static_cast<std::uint64_t>(n), 260);
 }
 
+// A namespace-scope table has static storage, so the padding inside each
+// case is zero: gtest prints the parameter's raw bytes into the test
+// name, and uninitialised padding would make that name change per build.
+const LockstepParam kLockstepCases[] = {
+    {2, synth::Encoding::kOneHot},
+    {3, synth::Encoding::kOneHot},
+    {8, synth::Encoding::kOneHot},
+    {16, synth::Encoding::kOneHot},
+    {2, synth::Encoding::kCompact},
+    {3, synth::Encoding::kCompact},
+    {8, synth::Encoding::kCompact},
+    {16, synth::Encoding::kCompact},
+    {2, synth::Encoding::kGray},
+    {3, synth::Encoding::kGray},
+    {8, synth::Encoding::kGray},
+    {16, synth::Encoding::kGray},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LaneLockstep,
-    ::testing::Values(LockstepParam{2, synth::Encoding::kOneHot},
-                      LockstepParam{3, synth::Encoding::kOneHot},
-                      LockstepParam{8, synth::Encoding::kOneHot},
-                      LockstepParam{16, synth::Encoding::kOneHot},
-                      LockstepParam{2, synth::Encoding::kCompact},
-                      LockstepParam{3, synth::Encoding::kCompact},
-                      LockstepParam{8, synth::Encoding::kCompact},
-                      LockstepParam{16, synth::Encoding::kCompact},
-                      LockstepParam{2, synth::Encoding::kGray},
-                      LockstepParam{3, synth::Encoding::kGray},
-                      LockstepParam{8, synth::Encoding::kGray},
-                      LockstepParam{16, synth::Encoding::kGray}));
+    ::testing::ValuesIn(kLockstepCases));
 
 TEST(LaneLockstep, HardenedArbiterAgrees) {
   const auto& s = core::synthesize_round_robin_cached(

@@ -113,21 +113,27 @@ TEST_P(LutMapRandom, MappingPreservesFunction) {
   check_mapping_equivalence(g, options);
 }
 
+// A namespace-scope table has static storage, so the padding inside each
+// case is zero: gtest prints the parameter's raw bytes into the test
+// name, and uninitialised padding would make that name change per build.
+const MapParam kLutMapCases[] = {
+    {1, 4, 10, MapObjective::kDepth},
+    {2, 5, 20, MapObjective::kDepth},
+    {3, 6, 40, MapObjective::kDepth},
+    {4, 7, 60, MapObjective::kDepth},
+    {5, 8, 90, MapObjective::kDepth},
+    {6, 4, 10, MapObjective::kArea},
+    {7, 5, 20, MapObjective::kArea},
+    {8, 6, 40, MapObjective::kArea},
+    {9, 7, 60, MapObjective::kArea},
+    {10, 8, 90, MapObjective::kArea},
+    {11, 9, 120, MapObjective::kDepth},
+    {12, 10, 150, MapObjective::kArea},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LutMapRandom,
-    ::testing::Values(
-        MapParam{1, 4, 10, MapObjective::kDepth},
-        MapParam{2, 5, 20, MapObjective::kDepth},
-        MapParam{3, 6, 40, MapObjective::kDepth},
-        MapParam{4, 7, 60, MapObjective::kDepth},
-        MapParam{5, 8, 90, MapObjective::kDepth},
-        MapParam{6, 4, 10, MapObjective::kArea},
-        MapParam{7, 5, 20, MapObjective::kArea},
-        MapParam{8, 6, 40, MapObjective::kArea},
-        MapParam{9, 7, 60, MapObjective::kArea},
-        MapParam{10, 8, 90, MapObjective::kArea},
-        MapParam{11, 9, 120, MapObjective::kDepth},
-        MapParam{12, 10, 150, MapObjective::kArea}));
+    ::testing::ValuesIn(kLutMapCases));
 
 TEST(LutMap, DepthObjectiveNeverDeeperThanAreaObjective) {
   Rng rng(99);

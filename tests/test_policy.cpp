@@ -115,19 +115,27 @@ TEST_P(AllPolicies, ResetRestoresInitialBehavior) {
   }
 }
 
+// A namespace-scope table has static storage, so the padding inside each
+// case is zero: gtest prints the parameter's raw bytes into the test
+// name, and uninitialised padding would make that name change per build.
+const PolicyCase kPolicyCases[] = {
+    {Policy::kRoundRobin, 2},
+    {Policy::kRoundRobin, 5},
+    {Policy::kRoundRobin, 10},
+    {Policy::kFifo, 2},
+    {Policy::kFifo, 5},
+    {Policy::kFifo, 10},
+    {Policy::kPriority, 2},
+    {Policy::kPriority, 5},
+    {Policy::kPriority, 10},
+    {Policy::kRandom, 2},
+    {Policy::kRandom, 5},
+    {Policy::kRandom, 10},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AllPolicies,
-    ::testing::Values(PolicyCase{Policy::kRoundRobin, 2},
-                      PolicyCase{Policy::kRoundRobin, 5},
-                      PolicyCase{Policy::kRoundRobin, 10},
-                      PolicyCase{Policy::kFifo, 2}, PolicyCase{Policy::kFifo, 5},
-                      PolicyCase{Policy::kFifo, 10},
-                      PolicyCase{Policy::kPriority, 2},
-                      PolicyCase{Policy::kPriority, 5},
-                      PolicyCase{Policy::kPriority, 10},
-                      PolicyCase{Policy::kRandom, 2},
-                      PolicyCase{Policy::kRandom, 5},
-                      PolicyCase{Policy::kRandom, 10}));
+    ::testing::ValuesIn(kPolicyCases));
 
 /// Simulates N greedy clients that always re-request and hold for
 /// `hold` cycles; returns the maximum number of grants to others between

@@ -55,19 +55,26 @@ TEST_P(StructuralEquivalence, MappedNetlistMatchesBehavioralModel) {
       << "a name lookup slipped into the cycle loop";
 }
 
+// A namespace-scope table has static storage, so the padding inside each
+// case is zero: gtest prints the parameter's raw bytes into the test
+// name, and uninitialised padding would make that name change per build.
+const StructParam kStructCases[] = {
+    {2, synth::Encoding::kOneHot},
+    {3, synth::Encoding::kOneHot},
+    {4, synth::Encoding::kOneHot},
+    {6, synth::Encoding::kOneHot},
+    {10, synth::Encoding::kOneHot},
+    {2, synth::Encoding::kCompact},
+    {3, synth::Encoding::kCompact},
+    {5, synth::Encoding::kCompact},
+    {8, synth::Encoding::kCompact},
+    {3, synth::Encoding::kGray},
+    {6, synth::Encoding::kGray},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StructuralEquivalence,
-    ::testing::Values(StructParam{2, synth::Encoding::kOneHot},
-                      StructParam{3, synth::Encoding::kOneHot},
-                      StructParam{4, synth::Encoding::kOneHot},
-                      StructParam{6, synth::Encoding::kOneHot},
-                      StructParam{10, synth::Encoding::kOneHot},
-                      StructParam{2, synth::Encoding::kCompact},
-                      StructParam{3, synth::Encoding::kCompact},
-                      StructParam{5, synth::Encoding::kCompact},
-                      StructParam{8, synth::Encoding::kCompact},
-                      StructParam{3, synth::Encoding::kGray},
-                      StructParam{6, synth::Encoding::kGray}));
+    ::testing::ValuesIn(kStructCases));
 
 TEST(Structural, FormallyEquivalentToTwoLevelSynthesisOneHot) {
   // BDD equivalence of the structural AIG against the elaborated covers
