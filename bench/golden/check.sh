@@ -1,0 +1,25 @@
+#!/usr/bin/env bash
+# Diffs the paper-style tables the rcsim benches print against the goldens
+# in this directory.  The report/trace path lines are left out; everything
+# else on stdout is deterministic and must match byte for byte.
+#
+#   bench/golden/check.sh <build-dir>            # diff, exit 1 on mismatch
+#   bench/golden/check.sh <build-dir> --update   # rewrite the goldens
+set -euo pipefail
+build=${1:?usage: check.sh <build-dir> [--update]}
+golden=$(cd "$(dirname "$0")" && pwd)
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+status=0
+for b in fig8_overhead fft_section5 global_schedule fault_campaign \
+         degradation; do
+  RCARB_BENCH_DIR="$out" "$build/bench/bench_$b" --benchmark_filter=NONE |
+    grep -v -e '^bench report: ' -e '^chrome trace: ' >"$out/bench_$b.txt"
+  if [[ "${2:-}" == --update ]]; then
+    cp "$out/bench_$b.txt" "$golden/bench_$b.txt"
+  elif ! diff -u "$golden/bench_$b.txt" "$out/bench_$b.txt"; then
+    echo "bench_$b: output differs from its golden" >&2
+    status=1
+  fi
+done
+exit $status
