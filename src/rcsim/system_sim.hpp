@@ -263,6 +263,7 @@ class SystemSimulator {
 
  private:
   struct TaskCtx;
+  class Engine;  // one run's state and cycle phases (system_sim.cpp)
 
   tg::TaskGraph graph_;
   core::Binding binding_;
