@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "support/backoff.hpp"
 #include "support/check.hpp"
 
 namespace rcarb::rcsim {
@@ -152,7 +153,6 @@ struct SystemSimulator::TaskCtx {
   // deasserts Req and re-asserts once the bounded backoff expires.
   int retry_resource = -1;
   std::uint64_t retry_until = 0;
-  int retry_backoff = 1;
   // Overload control (SimOptions::admission_limit / retry_budget).
   int retry_rounds = 0;          // backoff rounds this burst
   bool budget_spent = false;     // kTimedOut fired; now waiting patiently
@@ -1119,7 +1119,6 @@ class SystemSimulator::Engine {
       return false;
     }
     if (has_grant(t, resource)) {
-      c.retry_backoff = 1;
       c.retry_rounds = 0;
       c.budget_spent = false;
       c.reject_reported = false;
@@ -1132,16 +1131,15 @@ class SystemSimulator::Engine {
         cycle_ - c.request_since >= static_cast<std::uint64_t>(rt)) {
       c.requesting = -1;
       c.retry_resource = resource;
-      c.retry_until = cycle_ + static_cast<std::uint64_t>(c.retry_backoff);
+      const std::uint64_t delay = backoff(c);
+      c.retry_until = cycle_ + delay;
       const int ai = arbiter_port(t, resource).first;
       if (ai >= 0) {
         if (!result_.arbiter_obs.empty())
           ++result_.arbiter_obs[static_cast<std::size_t>(ai)].backoffs;
         trace(obs::TraceKind::kBackoff, static_cast<int>(t), ai, resource,
-              c.retry_backoff);
+              static_cast<std::int64_t>(delay));
       }
-      c.retry_backoff =
-          std::min(c.retry_backoff * 2, plan_.retry_backoff_limit);
       note_backoff_round(c, resource);
       return true;
     }
@@ -1167,6 +1165,14 @@ class SystemSimulator::Engine {
       trace(obs::TraceKind::kRetry, static_cast<int>(c.id), ai, resource, 0);
     }
     return true;
+  }
+
+  // The bounded exponential backoff of the task's next round: 1 cycle,
+  // doubling per round of this burst, capped at the plan's limit.
+  std::uint64_t backoff(const TaskCtx& c) const {
+    return exp_backoff(
+        1, static_cast<std::uint64_t>(plan_.retry_backoff_limit),
+        c.retry_rounds);
   }
 
   // A backoff round is one Req-drop (retry timeout or admission refusal);
@@ -1206,8 +1212,7 @@ class SystemSimulator::Engine {
   // request op replays.
   void admission_reject(TaskCtx& c, int resource) {
     c.retry_resource = resource;
-    c.retry_until = cycle_ + static_cast<std::uint64_t>(c.retry_backoff);
-    c.retry_backoff = std::min(c.retry_backoff * 2, plan_.retry_backoff_limit);
+    c.retry_until = cycle_ + backoff(c);
     ++result_.admission_rejects;
     if (!c.reject_reported) {
       c.reject_reported = true;

@@ -10,6 +10,7 @@
 
 #include "core/arbiter_factory.hpp"
 #include "core/policy.hpp"
+#include "support/backoff.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -17,16 +18,9 @@ namespace rcarb::service {
 
 std::uint64_t backoff_delay(const RetryPolicy& retry, int attempts) {
   RCARB_CHECK(attempts >= 1, "the first retry is attempt 1");
-  const auto base = static_cast<std::uint64_t>(retry.backoff_base);
-  const auto limit = static_cast<std::uint64_t>(retry.backoff_limit);
-  if (base == 0) return 0;
-  // Saturate the exponent: `base << (attempts - 1)` is undefined once the
-  // shift reaches 64 (x86's masked shift silently cycles back to short
-  // delays), and any shift that would push past the limit lands on the
-  // limit anyway.
-  const int shift = attempts - 1;
-  if (shift >= std::countl_zero(base)) return limit;
-  return std::min(base << shift, limit);
+  return exp_backoff(static_cast<std::uint64_t>(retry.backoff_base),
+                     static_cast<std::uint64_t>(retry.backoff_limit),
+                     attempts - 1);
 }
 
 std::uint64_t retry_delay(const RetryPolicy& retry, int attempts,

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "core/insertion.hpp"
 #include "core/policy.hpp"
 #include "core/rr_fsm.hpp"
 #include "fault/fault.hpp"
 #include "netlist/simulator.hpp"
+#include "obs/trace.hpp"
 #include "rcsim/system_sim.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -378,6 +382,45 @@ TEST(FaultSim, RetryRecoversFromStuckRequestLine) {
   EXPECT_GT(r.retries, 0u) << "grantless waits past the timeout must retry";
   EXPECT_EQ(r.bank_conflicts, 0u);
   EXPECT_EQ(r.protocol_violations, 0u);
+}
+
+TEST(FaultSim, RetryBackoffStaysExactUnderAnIntMaxLimit) {
+  // The retry delay is derived from the burst's round count by the
+  // saturating exp_backoff; it used to be doubled in a signed int, which
+  // overflowed for limits above INT_MAX / 2 after 31 rounds (2^31
+  // simulated cycles, out of a unit test's reach — ExpBackoff covers those
+  // rounds).  Every backoff a long phantom hold forces is exactly
+  // 1, 2, 4, ... cycles under an INT_MAX limit.
+  ContentionFixture fx(4);
+  InsertionOptions io;
+  io.retry_timeout = 1;
+  io.retry_backoff_limit = std::numeric_limits<int>::max();
+  const InsertionResult ins = core::insert_arbitration(fx.g, fx.binding, io);
+  fault::FaultEvent stuck;  // a phantom requester pins port 0's grant
+  stuck.kind = fault::FaultKind::kReqStuck1;
+  stuck.cycle = 0;
+  stuck.arbiter = 0;
+  stuck.port = 0;
+  stuck.duration = std::uint64_t{1} << 20;
+
+  obs::TraceBuffer sink;
+  SimOptions options;
+  options.strict = false;
+  options.faults = {stuck};
+  options.trace_sink = &sink;
+  options.no_progress_window = std::uint64_t{1} << 23;
+  SystemSimulator sim(ins.graph, fx.binding, ins.plan, options);
+  const SimResult r = sim.run({0, 1});
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_GT(r.tasks[1].finish_cycle, stuck.duration);
+
+  std::vector<std::int64_t> delays;
+  for (const obs::TraceEvent& e : sink.events())
+    if (e.kind == obs::TraceKind::kBackoff && e.task == 1)
+      delays.push_back(e.value);
+  ASSERT_GE(delays.size(), 20u) << "the hold spans 2^20 cycles";
+  for (std::size_t i = 0; i < delays.size(); ++i)
+    EXPECT_EQ(delays[i], std::int64_t{1} << i) << "round " << i;
 }
 
 TEST(FaultSim, ChannelCorruptionCorrectedOnlyWhenHardened) {

@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 
+#include "support/backoff.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -255,6 +256,23 @@ TEST(Text, IndentPreservesEmptyLines) {
 
 TEST(Text, SignalName) {
   EXPECT_EQ(signal_name("req", 3), "req3");
+}
+
+
+TEST(ExpBackoff, DoublesThenSaturatesAtTheLimitForAnyRoundCount) {
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  for (int round = 0; round < 31; ++round)
+    EXPECT_EQ(exp_backoff(1, kIntMax, round), std::uint64_t{1} << round);
+  // Past 2^31 the delay sits on the limit; far past 64 the shift would be
+  // undefined, so the exponent must saturate instead of wrapping.
+  for (const int round : {31, 32, 62, 63, 64, 65, 1000, 1 << 30})
+    EXPECT_EQ(exp_backoff(1, kIntMax, round), kIntMax) << "round " << round;
+  EXPECT_EQ(exp_backoff(8, 256, 0), 8u);
+  EXPECT_EQ(exp_backoff(8, 256, 5), 256u);
+  EXPECT_EQ(exp_backoff(0, 256, 80), 0u);
+  EXPECT_EQ(exp_backoff(~std::uint64_t{0}, ~std::uint64_t{0}, 1),
+            ~std::uint64_t{0});
 }
 
 }  // namespace
