@@ -128,10 +128,9 @@ std::string SimDiagnostic::format() const {
 }
 
 std::size_t SimResult::count(DiagKind k) const {
-  std::size_t n = 0;
-  for (const SimDiagnostic& d : diagnostics)
-    if (d.kind == k) ++n;
-  return n;
+  return static_cast<std::size_t>(std::count_if(
+      diagnostics.begin(), diagnostics.end(),
+      [k](const SimDiagnostic& d) { return d.kind == k; }));
 }
 
 struct SystemSimulator::TaskCtx {
@@ -155,6 +154,10 @@ struct SystemSimulator::TaskCtx {
   std::uint64_t retry_until = 0;
   // Overload control (SimOptions::admission_limit / retry_budget).
   int retry_rounds = 0;          // backoff rounds this burst
+  // Delay of the next backoff round: 1 cycle, doubling per round.
+  [[nodiscard]] std::uint64_t backoff(int limit) const {
+    return exp_backoff(1, static_cast<std::uint64_t>(limit), retry_rounds);
+  }
   bool budget_spent = false;     // kTimedOut fired; now waiting patiently
   bool reject_reported = false;  // one kRejected diagnostic per burst
   // Resources this task drives without inserted Req/Rel ops (it was the
@@ -216,16 +219,7 @@ obs::TraceMeta SystemSimulator::trace_meta() const {
 class SystemSimulator::Engine {
  public:
   Engine(SystemSimulator& sim, const std::vector<TaskId>& tasks)
-      : graph_(sim.graph_),
-        binding_(sim.binding_),
-        plan_(sim.plan_),
-        opt_(sim.options_),
-        memory_(sim.memory_),
-        tasks_(tasks),
-        sink_(sim.options_.trace_sink),
-        want_detail_(sim.options_.diag_detail || sim.options_.strict),
-        degrade_on_(sim.options_.degrade.enabled),
-        num_res_(static_cast<int>(sim.binding_.num_resources())) {
+      : sim_(sim), tasks_(tasks) {
     result_.tasks.resize(graph_.num_tasks());
     // Metric probes borrow arbiter_obs elements, so it is reserved once, up
     // front, with room for the arbiters the degradation supervisor may
@@ -1131,7 +1125,7 @@ class SystemSimulator::Engine {
         cycle_ - c.request_since >= static_cast<std::uint64_t>(rt)) {
       c.requesting = -1;
       c.retry_resource = resource;
-      const std::uint64_t delay = backoff(c);
+      const std::uint64_t delay = c.backoff(plan_.retry_backoff_limit);
       c.retry_until = cycle_ + delay;
       const int ai = arbiter_port(t, resource).first;
       if (ai >= 0) {
@@ -1165,14 +1159,6 @@ class SystemSimulator::Engine {
       trace(obs::TraceKind::kRetry, static_cast<int>(c.id), ai, resource, 0);
     }
     return true;
-  }
-
-  // The bounded exponential backoff of the task's next round: 1 cycle,
-  // doubling per round of this burst, capped at the plan's limit.
-  std::uint64_t backoff(const TaskCtx& c) const {
-    return exp_backoff(
-        1, static_cast<std::uint64_t>(plan_.retry_backoff_limit),
-        c.retry_rounds);
   }
 
   // A backoff round is one Req-drop (retry timeout or admission refusal);
@@ -1212,7 +1198,7 @@ class SystemSimulator::Engine {
   // request op replays.
   void admission_reject(TaskCtx& c, int resource) {
     c.retry_resource = resource;
-    c.retry_until = cycle_ + backoff(c);
+    c.retry_until = cycle_ + c.backoff(plan_.retry_backoff_limit);
     ++result_.admission_rejects;
     if (!c.reject_reported) {
       c.reject_reported = true;
@@ -1818,16 +1804,17 @@ class SystemSimulator::Engine {
     if (opt_.strict) RCARB_CHECK(false, result_.diagnostics.back().detail);
   }
 
-  const tg::TaskGraph& graph_;
-  core::Binding& binding_;
-  core::ArbitrationPlan& plan_;
-  SimOptions& opt_;
-  std::vector<std::vector<std::int64_t>>& memory_;
+  SystemSimulator& sim_;
+  const tg::TaskGraph& graph_ = sim_.graph_;
+  core::Binding& binding_ = sim_.binding_;  // remaps rewrite it
+  core::ArbitrationPlan& plan_ = sim_.plan_;  // regenerated arbiters append
+  SimOptions& opt_ = sim_.options_;
+  std::vector<std::vector<std::int64_t>>& memory_ = sim_.memory_;
   const std::vector<TaskId>& tasks_;
-  obs::TraceSink* const sink_;
-  const bool want_detail_;
-  const bool degrade_on_;
-  const int num_res_;
+  obs::TraceSink* const sink_ = opt_.trace_sink;
+  const bool want_detail_ = opt_.diag_detail || opt_.strict;
+  const bool degrade_on_ = opt_.degrade.enabled;
+  const int num_res_ = static_cast<int>(binding_.num_resources());
 
   SimResult result_;
   std::vector<ArbiterRecord> arbs_;
