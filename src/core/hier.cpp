@@ -387,21 +387,6 @@ int FlatWideArbiter::do_step(std::uint64_t requests) {
   return step_wide_impl(req_scratch_);
 }
 
-std::unique_ptr<Arbiter> make_scalable_arbiter(ArbiterKind kind, int n,
-                                               int arity) {
-  switch (kind) {
-    case ArbiterKind::kFlatFsm:
-      if (n <= 64) return std::make_unique<RoundRobinArbiter>(n);
-      return std::make_unique<FlatWideArbiter>(n);
-    case ArbiterKind::kHierarchical:
-      return std::make_unique<HierarchicalArbiter>(n, arity);
-    case ArbiterKind::kPrefix:
-      return std::make_unique<PrefixArbiter>(n);
-  }
-  RCARB_CHECK(false, "unknown arbiter kind");
-  return nullptr;
-}
-
 // ---------------------------------------------------------- AIG generators
 
 aig::Aig build_hierarchical_aig(int n, int arity) {

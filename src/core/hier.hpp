@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -190,14 +189,6 @@ class FlatWideArbiter final : public Arbiter {
   std::vector<std::uint64_t> grant_;
   std::vector<std::uint64_t> req_scratch_;
 };
-
-/// Behavioral factory over the kind.  kFlatFsm returns the Fig. 5
-/// RoundRobinArbiter up to 64 ports and the FlatWideArbiter chain past
-/// that; every kind accepts up to kMaxWideInputs.  `arity` only affects
-/// kHierarchical.
-[[nodiscard]] std::unique_ptr<Arbiter> make_scalable_arbiter(ArbiterKind kind,
-                                                             int n,
-                                                             int arity = 4);
 
 // ---- AIG generators -------------------------------------------------------
 //

@@ -143,10 +143,10 @@ std::unique_ptr<WideSimBase> make_wide_sim_avx512(const Netlist& nl,
 ///   static Word load(const uint64_t*); static void store(Word, uint64_t*);
 ///   static Word mux(Word t0, Word t1, Word sel);  // (t0 & ~sel)|(t1 & sel)
 ///   static bool equal(Word, Word);
-/// Lane semantics, settle strategies and two-phase clocking match
-/// LaneSimulator exactly, except pokes: a register poke seeds the dirty
-/// set with the poked DFF's fanout cone instead of scheduling a full
-/// topo resettle (the cone argument is the same as clock()'s).
+/// Settle strategies and two-phase clocking match netlist::Simulator
+/// lane by lane, except pokes: a register poke seeds the dirty set with
+/// the poked DFF's fanout cone instead of scheduling a full topo
+/// resettle (the cone argument is the same as clock()'s).
 template <typename Word>
 class WideSimImpl final : public WideSimBase {
  public:
@@ -193,9 +193,8 @@ class WideSimImpl final : public WideSimBase {
   }
 
   void poke_register_word(NetId net, const std::uint64_t* words) override {
-    // Event-driven from birth: the poked register's fanout cone is exactly
-    // what clock() would dirty for this q net, so no full resettle is
-    // needed (LaneSimulator grew the same rule in this PR).
+    // The poked register's fanout cone is exactly what clock() would
+    // dirty for this q net, so no full resettle is needed.
     write_net(net, Word::load(words));
     settle();
   }

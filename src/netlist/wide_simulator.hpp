@@ -1,7 +1,7 @@
 // Width-generic wide-lane netlist simulation: 64 to 512 scenarios per pass.
 //
-// WideLaneSimulator generalizes the 64-lane LaneSimulator to lane words of
-// 1..8 uint64s (64..512 lanes): net values live in a structure-of-arrays
+// WideLaneSimulator packs 64..512 independent scenarios into lane words of
+// 1..8 uint64s (bit l%64 of word l/64 is lane l): net values live in a structure-of-arrays
 // layout (one contiguous row of `words()` uint64s per net, LUT descriptors
 // in flat topo-ordered arrays), and the per-LUT mux-tree fold runs on one
 // of three kernels selected at runtime:
@@ -20,9 +20,9 @@
 // lane never observes another lane's bits, and the cross-width test suite
 // pins scalar vs 64/256/512-lane checksums to exact equality.
 //
-// Unlike LaneSimulator's original rule, register pokes do *not* schedule a
-// full topo resettle in event-driven mode: the poked DFF's fanout cone
-// seeds the dirty heap, exactly as a clock() edge would for that q net.
+// Register pokes do *not* schedule a full topo resettle in event-driven
+// mode: the poked DFF's fanout cone seeds the dirty heap, exactly as a
+// clock() edge would for that q net.
 #pragma once
 
 #include <cstdint>

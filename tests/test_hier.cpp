@@ -487,14 +487,17 @@ class WideFuzz : public ::testing::TestWithParam<WideParam> {};
 
 TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
   const auto [kind, n, arity] = GetParam();
-  auto holder = core::make_scalable_arbiter(kind, n, arity);
-  // Access the wide surface through the concrete types.
-  auto* hier = dynamic_cast<HierarchicalArbiter*>(holder.get());
-  auto* prefix = dynamic_cast<PrefixArbiter*>(holder.get());
-  auto* flat = dynamic_cast<core::FlatWideArbiter*>(holder.get());
+  core::SystemArbiterSpec spec;
+  spec.kind = kind;
+  spec.arity = arity;  // read by kHierarchical only
+  const core::SystemArbiter made = core::make_system_arbiter(n, spec);
+  // Access the wide surface through the factory's typed views.
+  HierarchicalArbiter* const hier = made.hier;
+  PrefixArbiter* const prefix = made.prefix;
+  core::FlatWideArbiter* const flat = made.flat_wide;
   ASSERT_TRUE(hier != nullptr || prefix != nullptr || flat != nullptr);
   auto step_wide = [&](const std::vector<std::uint64_t>& req) {
-    return holder->step_wide(req);
+    return made.arbiter->step_wide(req);
   };
   auto grant_words = [&]() -> const std::vector<std::uint64_t>& {
     if (hier != nullptr) return hier->last_grant_words();
