@@ -90,6 +90,7 @@ struct ArbiterRecord {
   // (illegal) all-zero code before every sample — reset and hardening
   // cannot clear a latch-up, only reconfiguration can.
   bool latched_plain = false;
+  bool retired = false;  // replaced after a quarantine; no longer clocked
 };
 
 }  // namespace
@@ -476,6 +477,7 @@ class SystemSimulator::Engine {
   void sample_arbiters() {
     for (std::size_t a = 0; a < arbs_.size(); ++a) {
       ArbiterRecord& rec = arbs_[a];
+      if (rec.retired) continue;
       std::uint64_t grant_suppress = 0;
       const std::uint64_t eff = effective_requests(a, grant_suppress);
       if (opt_.record_request_trace) result_.request_trace[a].push_back(eff);
@@ -1267,7 +1269,7 @@ class SystemSimulator::Engine {
     for (std::size_t a = 0; a < arbs_.size(); ++a) {
       ArbiterRecord& rec = arbs_[a];
       const int h = rec.holder;
-      if (h < 0) continue;
+      if (h < 0 || rec.retired) continue;
       const core::ArbiterInstance& inst = plan_.arbiters[a];
       if (degrade_on_) {
         const auto st = quar_[static_cast<std::size_t>(inst.resource)].state;
@@ -1551,12 +1553,8 @@ class SystemSimulator::Engine {
     }
     const auto retire = [&](int res) {
       for (const int a :
-           plan_.arbiters_of_resource[static_cast<std::size_t>(res)]) {
-        ArbiterRecord& old = arbs_[static_cast<std::size_t>(a)];
-        old.requests = 0;
-        old.pending = 0;
-        old.reset_hold();
-      }
+           plan_.arbiters_of_resource[static_cast<std::size_t>(res)])
+        arbs_[static_cast<std::size_t>(a)].retired = true;
     };
     retire(r);
     if (live != r) retire(live);
@@ -1592,14 +1590,19 @@ class SystemSimulator::Engine {
         if (c.dropped_request == r) c.dropped_request = live;
       }
     }
+    // An in-place repair returns the resource to service with a clean
+    // strike history (as degrade::ResourceSupervisor does on kRestored), so
+    // later evidence against it can quarantine it again; a remap retires
+    // the dead resource for good.
     strike_tracker_.clear(r);
-    q.state = degrade::QuarantineState::kRemapped;
-    rec.state = q.state;
+    const bool in_place = q.repair == Repair::kInPlace;
+    rec.state = in_place ? degrade::QuarantineState::kHealthy
+                         : degrade::QuarantineState::kRemapped;
     rec.restored_cycle = cycle_;
     rec.remap_target = live;
     ++result_.remaps;
     diagnose(DiagKind::kRemap, -1, r, [&] {
-      return q.repair == Repair::kInPlace
+      return in_place
                  ? "arbiter region of " + binding_.resource_name(r) +
                        " regenerated in place; service restored"
                  : "load of " + binding_.resource_name(r) + " remapped onto " +
@@ -1608,6 +1611,8 @@ class SystemSimulator::Engine {
                        " logical unit(s) moved); service restored";
     });
     trace(obs::TraceKind::kRemap, -1, -1, r, live);
+    q.state = rec.state;
+    if (in_place) q = QuarCtx{};  // ready for the next quarantine
   }
 
   // Every running task whose program can drive r1 or r2 — the contention set
@@ -1756,6 +1761,7 @@ class SystemSimulator::Engine {
     }
     for (std::size_t a = 0; a < arbs_.size(); ++a) {
       const core::SystemArbiter& hw = arbs_[a].hw;
+      if (arbs_[a].retired) continue;
       if (hw.rr != nullptr && !hw.rr->state_legal())
         detail += "\n  arbiter " + plan_.arbiters[a].resource_name +
                   " register illegal (state=0x" +

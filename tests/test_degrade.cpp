@@ -812,6 +812,75 @@ TEST(DegradeEndToEnd, ArbiterLatchUpIsRepairedInPlace) {
   }
 }
 
+TEST(DegradeEndToEnd, RetiredArbitersStopClockingAfterAnInPlaceRepair) {
+  // Regression: every cycle used to step every arbiter, including the ones
+  // a quarantine had retired, so the latched self-checking copy kept
+  // raising its error output after the in-place repair and every later
+  // cycle counted as degraded.  Comparator-high cycles can only come from
+  // the window between the latch-up and the repair.
+  for (const CheckMode mode : {CheckMode::kDuplicate, CheckMode::kTmr}) {
+    TwoBankRig rig;
+    const auto ins = core::insert_arbitration(rig.graph, rig.binding, {});
+    fault::FaultEvent latch;
+    latch.kind = fault::FaultKind::kArbiterLatchup;
+    latch.cycle = 6;
+    latch.arbiter = 0;
+    rcsim::SimOptions so = degrade_options();
+    so.self_check = mode;
+    so.faults = {latch};
+    rcsim::SystemSimulator sim(ins.graph, rig.binding, ins.plan, so);
+    const rcsim::SimResult r = sim.run(rig.tasks);
+
+    ASSERT_FALSE(r.deadlocked) << core::to_string(mode);
+    ASSERT_EQ(r.quarantine_events.size(), 1u) << core::to_string(mode);
+    const degrade::QuarantineRecord& rec = r.quarantine_events[0];
+    EXPECT_LE(r.self_check_errors, rec.restored_cycle - latch.cycle)
+        << core::to_string(mode);
+    EXPECT_GE(r.serving_cycles, r.cycles - rec.restored_cycle - 1)
+        << core::to_string(mode) << ": every cycle after the repair serves";
+  }
+}
+
+TEST(DegradeEndToEnd, ResourceRepairedInPlaceCanBeQuarantinedAgain) {
+  // Regression: an in-place repair used to leave the resource in
+  // kRemapped, and the supervisor ignores evidence against any resource
+  // that is not kHealthy — so a bank whose arbiter had been regenerated
+  // could never be quarantined again, and its later failure wedged the
+  // run.  The repair now returns it to kHealthy with a clean strike
+  // history, and the bank failure is quarantined and remapped in turn.
+  TwoBankRig rig(12);
+  const auto ins = core::insert_arbitration(rig.graph, rig.binding, {});
+  rcsim::SimOptions so = degrade_options();
+  so.self_check = CheckMode::kDuplicate;
+  rcsim::SystemSimulator ref(ins.graph, rig.binding, ins.plan, so);
+  const rcsim::SimResult ref_r = ref.run(rig.tasks);
+  ASSERT_FALSE(ref_r.deadlocked);
+
+  fault::FaultEvent latch;
+  latch.kind = fault::FaultKind::kArbiterLatchup;
+  latch.cycle = 6;
+  latch.arbiter = 0;  // guards bank 0
+  fault::FaultEvent dead;
+  dead.kind = fault::FaultKind::kBankFailure;
+  dead.cycle = 40;  // after the latch-up's repair, mid-way through bank 0's
+  dead.bank = 0;    // stores
+  so.faults = {latch, dead};
+  rcsim::SystemSimulator sim(ins.graph, rig.binding, ins.plan, so);
+  const rcsim::SimResult r = sim.run(rig.tasks);
+
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_EQ(r.quarantined, 2u);
+  ASSERT_EQ(r.quarantine_events.size(), 2u);
+  EXPECT_LT(r.quarantine_events[0].restored_cycle, dead.cycle)
+      << "the bank must fail after the in-place repair";
+  EXPECT_EQ(r.quarantine_events[1].resource, 0);
+  EXPECT_EQ(r.quarantine_events[1].remap_target, 1);
+  EXPECT_EQ(sim.segment_data(0), ref.segment_data(0));
+  EXPECT_EQ(sim.segment_data(1), ref.segment_data(1));
+  EXPECT_EQ(r.bank_conflicts, 0u);
+  EXPECT_EQ(r.protocol_violations, 0u);
+}
+
 TEST(DegradeEndToEnd, PlainArbitersCannotDetectALatchUp) {
   // The same latch-up without self-checking arbiters: no error wire means
   // no evidence, no quarantine — the system wedges.  This is the tentpole's
