@@ -449,8 +449,7 @@ TEST(SimdTierResolution, OverridesClampAndWarn) {
   EXPECT_LE(simd_tier(), detected_simd_tier());
 }
 
-// ---- 64-lane lockstep against the scalar engines (the tests that used to
-// drive the retired 64-lane LaneSimulator; same names, same checks). ----
+// ---- 64-lane lockstep against the scalar engines. ----
 
 constexpr std::size_t kLanes = 64;
 
