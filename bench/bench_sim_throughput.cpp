@@ -19,7 +19,10 @@
 // config, plus LUT-evals/sec at the widest width.  `w256_over_w64_x` /
 // `w512_over_w64_x` are the headline wide-vs-64-lane ratios on the
 // campaign-shaped hardened arbiter, `batched_over_w64_x` the threaded
-// whole-campaign ratio.  Every grid cell's per-replica checksums are
+// whole-campaign ratio.  The streamed checksum fold runs inside the cycle
+// loop but is timed apart from the kernel: `host_fold_share` is its share
+// of (kernel + fold) wall time at 512 lanes, a host figure next to the
+// kernel-only ones.  Every grid cell's per-replica checksums are
 // cross-checked: scalar vs every width, event vs full settle, and the
 // folded value lands in the `checksum_<config>` notes — byte-identical
 // across $RCARB_SIMD tiers and $RCARB_JOBS counts, which CI pins by
@@ -112,6 +115,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 struct Cell {
   double cps = 0.0;            // lane-cycles per second
   double evals_per_sec = 0.0;  // LUT evaluations per second
+  double fold_share = 0.0;     // host: fold / (kernel + fold) wall time
   std::uint64_t luts_evaluated = 0;
   std::vector<std::uint64_t> checksums;
   std::uint64_t folded = 0;
@@ -130,6 +134,7 @@ Cell run_cell(const fault::ReplicaBatchSpec& spec, std::size_t lanes,
              r.kernel_seconds;
   cell.evals_per_sec =
       static_cast<double>(r.luts_evaluated) / r.kernel_seconds;
+  cell.fold_share = r.fold_seconds / (r.kernel_seconds + r.fold_seconds);
   cell.luts_evaluated = r.luts_evaluated;
   cell.checksums = r.checksums;
   cell.folded = r.folded;
@@ -238,7 +243,8 @@ int report_throughput(obs::BenchReporter& rep) {
               " SEU replicas x " + std::to_string(kCycles) +
               " cycles (lane-cycles/sec, event-driven | full settle)");
   table.set_header({"netlist", "LUTs", "scalar", "w64", "w256", "w512",
-                    "256/64", "512/64", "batched", "evals/s", "event%"});
+                    "256/64", "512/64", "batched", "evals/s", "fold%",
+                    "event%"});
 
   bool all_match = true;
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -260,6 +266,7 @@ int report_throughput(obs::BenchReporter& rep) {
                    fmt_fixed(w512_x, 1) + "x",
                    fmt_fixed(r.batched_cps / 1e6, 0) + "M",
                    fmt_fixed(r.event[2].evals_per_sec / 1e6, 0) + "M",
+                   fmt_fixed(r.event[2].fold_share * 100.0, 1) + "%",
                    fmt_fixed(r.event_eval_fraction * 100.0, 1) + "%"});
     // The folded per-replica checksum of the shared 512-replica batch —
     // identical across engines, widths, settle modes, SIMD tiers and job
@@ -273,6 +280,7 @@ int report_throughput(obs::BenchReporter& rep) {
       rep.metric("speedup_x", r.event[0].cps / r.scalar_cps, "x");
       rep.metric("w256_lane_cycles_per_sec", r.event[1].cps, "cycles/s");
       rep.metric("w512_lane_cycles_per_sec", r.event[2].cps, "cycles/s");
+      rep.metric("host_fold_share", r.event[2].fold_share, "ratio");
       rep.metric("w256_over_w64_x", w256_x, "x");
       rep.metric("w512_over_w64_x", w512_x, "x");
       rep.metric("batched_lane_cycles_per_sec", r.batched_cps, "cycles/s");
@@ -297,7 +305,9 @@ int report_throughput(obs::BenchReporter& rep) {
   std::puts(
       "one wide pass advances `lanes` replicas: the per-cycle cost is one\n"
       "LUT mux-tree fold per dirty LUT (1, 4 or 8 SIMD words) instead of\n"
-      "`lanes` scalar topo passes.\n");
+      "`lanes` scalar topo passes.  fold% is the host share of the 512-lane\n"
+      "pass spent folding grant chunks into checksums, timed apart from the\n"
+      "kernel figures.\n");
   return 0;
 }
 

@@ -7,7 +7,10 @@
 // as (batches x lanes): replicas are packed `lanes` at a time into
 // netlist::WideLaneSimulator passes (64..512 lanes per pass, SIMD kernel
 // chosen at runtime), and the batches run on support/parallel.hpp's
-// ordered_map_reduce worker pool.
+// ordered_map_reduce worker pool.  Grant rows are captured one chunk of
+// 64 / grants cycles at a time and folded into the per-replica checksums
+// as each chunk fills (a 64x64 bit transpose plus byte-table lookups), so
+// no batch buffers its whole run.
 //
 // Determinism contract: every replica's grant-stream checksum is a pure
 // function of (netlist, request stream, that replica's SEU) — lanes never
@@ -16,7 +19,8 @@
 // across lane widths 64/256/512, across SIMD tiers, and against R scalar
 // netlist::Simulator runs.  The cross-width test suite and
 // bench_sim_throughput's checksum tie pin all of this.  Only
-// `kernel_seconds` (wall time) is outside the contract.
+// `kernel_seconds` and `fold_seconds` (wall times) are outside the
+// contract.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +43,8 @@ struct ReplicaSeu {
 
 /// A batch of SEU replicas over one netlist.  `requests[c]` carries the
 /// cycle-c request pattern in its low req.size() bits, shared by every
-/// replica; `seu` holds one entry per replica (its size is the replica
-/// count R).
+/// replica; `grant` lists the 1..64 nets each checksum folds per cycle;
+/// `seu` holds one entry per replica (its size is the replica count R).
 struct ReplicaBatchSpec {
   const netlist::Netlist* netlist = nullptr;
   std::vector<netlist::NetId> req;
@@ -75,10 +79,16 @@ struct ReplicaBatchResult {
   std::size_t lanes = 0;
   /// SIMD kernel the batches dispatched to.
   SimdTier kernel_tier = SimdTier::kScalar;
-  /// Summed wall time of the timed cycle loops only (excludes simulator
-  /// construction and the checksum fold) — the throughput numerator is
-  /// R * requests.size() lane-cycles.  Outside the determinism contract.
+  /// Summed wall time of the timed cycle loops minus their chunk folds:
+  /// stimulus, settle, grant capture, SEU pokes and clock only (excludes
+  /// simulator construction and `fold_seconds`) — the throughput
+  /// numerator is R * requests.size() lane-cycles.  Outside the
+  /// determinism contract.
   double kernel_seconds = 0.0;
+  /// Summed wall time of the streamed checksum chunk folds, which run
+  /// inside the cycle loops but are timed apart from `kernel_seconds`.
+  /// Outside the determinism contract.
+  double fold_seconds = 0.0;
 };
 
 /// Runs all R = spec.seu.size() replicas and returns their checksums.

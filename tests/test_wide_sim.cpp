@@ -3,7 +3,9 @@
 // full-topo and event-driven settling, under SEU pokes and mid-run
 // reset() — all bit-identical.  Plus the threaded replica-batch entry
 // point (fault::run_replica_batch): byte-identical checksums at 1/2/8
-// jobs and across lane widths, and the support/cpu tier-resolution rules.
+// jobs and across lane widths, its streamed chunk fold against the scalar
+// oracle across grant counts and partial final chunks, its grant-count
+// check, and the support/cpu tier-resolution rules.
 // Last, the 64-lane lockstep suite: scalar full/event vs 64-lane full/event
 // engines under random requests and SEU pokes, event-mode poke cone
 // seeding, name-lookup-free cycle loops and request-trace replay.
@@ -21,6 +23,7 @@
 #include "netlist/simulator.hpp"
 #include "netlist/wide_simulator.hpp"
 #include "rcsim/system_sim.hpp"
+#include "support/check.hpp"
 #include "support/cpu.hpp"
 #include "support/rng.hpp"
 #include "synth/flow.hpp"
@@ -373,34 +376,106 @@ TEST(ReplicaBatch, ByteIdenticalAcrossJobsWidthsAndTiers) {
   }
 }
 
+/// Replica r of `spec` on the scalar Simulator, folded the way
+/// ReplicaBatchResult::checksums documents.
+std::uint64_t scalar_replica_checksum(const fault::ReplicaBatchSpec& spec,
+                                      std::size_t r) {
+  Simulator sim(*spec.netlist);
+  std::uint64_t checksum = 0;
+  for (std::size_t c = 0; c < spec.requests.size(); ++c) {
+    for (std::size_t i = 0; i < spec.req.size(); ++i)
+      sim.set_input(spec.req[i], (spec.requests[c] >> i) & 1);
+    sim.settle();
+    for (std::size_t i = 0; i < spec.grant.size(); ++i)
+      checksum = checksum * 31 + (sim.get(spec.grant[i]) ? i + 1 : 0);
+    if (spec.seu[r].cycle == c) {
+      const NetId net = spec.state[spec.seu[r].state_bit];
+      sim.poke_register(net, !sim.get(net));
+    }
+    sim.clock();
+  }
+  return checksum;
+}
+
 TEST(ReplicaBatch, MatchesScalarSimulatorReplicas) {
   const auto& s = core::synthesize_round_robin_cached(
       3, synth::Encoding::kOneHot, /*harden=*/true);
-  const std::size_t cycles = 80;
   const fault::ReplicaBatchSpec spec =
-      campaign_spec(s.netlist, 3, /*replicas=*/70, /*seed=*/31337, cycles);
+      campaign_spec(s.netlist, 3, /*replicas=*/70, /*seed=*/31337,
+                    /*cycles=*/80);
   fault::ReplicaBatchOptions opt;
   opt.lanes = 64;
   const fault::ReplicaBatchResult wide = fault::run_replica_batch(spec, opt);
 
   for (const std::size_t r : {std::size_t{0}, std::size_t{33},
-                              std::size_t{69}}) {
-    Simulator sim(s.netlist);
-    std::uint64_t checksum = 0;
-    for (std::size_t c = 0; c < cycles; ++c) {
-      for (std::size_t i = 0; i < spec.req.size(); ++i)
-        sim.set_input(spec.req[i], (spec.requests[c] >> i) & 1);
-      sim.settle();
-      for (std::size_t i = 0; i < spec.grant.size(); ++i)
-        checksum = checksum * 31 + (sim.get(spec.grant[i]) ? i + 1 : 0);
-      if (spec.seu[r].cycle == c) {
-        const NetId net = spec.state[spec.seu[r].state_bit];
-        sim.poke_register(net, !sim.get(net));
+                              std::size_t{69}})
+    EXPECT_EQ(wide.checksums[r], scalar_replica_checksum(spec, r))
+        << "replica " << r;
+}
+
+// The checksum fold streams one chunk of 64 / grants cycles at a time
+// (21, 8 and 4 cycles for 3, 8 and 16 grants) and folds the last partial
+// chunk with its own table.  Every replica must still match the scalar
+// oracle for runs shorter than, equal to and just past one chunk, and for
+// a run ending in a partial chunk — with SEUs on the last cycle of a chunk
+// and SEUs past the end of the run.
+TEST(ReplicaBatch, ChunkedFoldMatchesScalarAcrossGrantCountsAndTails) {
+  const auto& n3 = core::synthesize_round_robin_cached(
+      3, synth::Encoding::kOneHot, /*harden=*/true);
+  const auto& n8 = core::generate_round_robin_cached(
+      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& n16 = core::generate_round_robin_cached(
+      16, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const struct {
+    const Netlist* nl;
+    int n;
+  } arbiters[] = {{&n3.netlist, 3}, {&n8.synth.netlist, 8},
+                  {&n16.synth.netlist, 16}};
+  constexpr std::size_t kReplicas = 70;  // one full 64-lane batch + 6
+
+  for (const auto& arb : arbiters) {
+    const std::size_t chunk = 64 / static_cast<std::size_t>(arb.n);
+    for (const std::size_t cycles :
+         {std::size_t{1}, chunk - 1, chunk, chunk + 1, 3 * chunk + 2}) {
+      fault::ReplicaBatchSpec spec = campaign_spec(
+          *arb.nl, arb.n, kReplicas, /*seed=*/4242 + cycles, cycles);
+      Rng rng(derive_seed(99, cycles));
+      for (std::size_t r = 0; r < kReplicas; ++r) {
+        std::uint32_t& cycle = spec.seu[r].cycle;
+        if (r % 4 == 0)  // last cycle of a chunk (past the run if short)
+          cycle = static_cast<std::uint32_t>(
+              rng.next_below(cycles / chunk + 1) * chunk + chunk - 1);
+        else if (r % 4 == 1)  // never reached
+          cycle = static_cast<std::uint32_t>(cycles + rng.next_below(3));
       }
-      sim.clock();
+      std::vector<std::uint64_t> oracle(kReplicas);
+      for (std::size_t r = 0; r < kReplicas; ++r)
+        oracle[r] = scalar_replica_checksum(spec, r);
+
+      for (const std::size_t lanes : {std::size_t{64}, std::size_t{512}}) {
+        fault::ReplicaBatchOptions opt;
+        opt.lanes = lanes;
+        opt.jobs = 1;
+        const fault::ReplicaBatchResult r = fault::run_replica_batch(spec, opt);
+        EXPECT_EQ(r.checksums, oracle)
+            << "n=" << arb.n << " cycles=" << cycles << " lanes=" << lanes;
+      }
     }
-    EXPECT_EQ(wide.checksums[r], checksum) << "replica " << r;
   }
+}
+
+TEST(ReplicaBatch, RejectsGrantCountsOutsideOneTo64) {
+  const auto& s = core::synthesize_round_robin_cached(
+      3, synth::Encoding::kOneHot, /*harden=*/true);
+  fault::ReplicaBatchSpec spec =
+      campaign_spec(s.netlist, 3, /*replicas=*/4, /*seed=*/5, /*cycles=*/8);
+  const NetId grant0 = spec.grant[0];
+  spec.grant.clear();
+  EXPECT_THROW((void)fault::run_replica_batch(spec), CheckError);
+  spec.grant.assign(65, grant0);
+  EXPECT_THROW((void)fault::run_replica_batch(spec), CheckError);
+  spec.grant.assign(64, grant0);
+  EXPECT_EQ(fault::run_replica_batch(spec).checksums.size(), 4u);
 }
 
 // ---- support/cpu tier resolution. ----
