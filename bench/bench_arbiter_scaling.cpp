@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/arbiter_factory.hpp"
 #include "core/generator.hpp"
 #include "obs/bench_report.hpp"
 #include "support/parallel.hpp"
@@ -167,16 +168,15 @@ void BM_GeneratePrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratePrefix)->Arg(64)->Arg(256);
 
-void BM_StepWideHierarchical(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  rcarb::core::HierarchicalArbiter arb(n);
-  std::vector<std::uint64_t> req(static_cast<std::size_t>((n + 63) / 64),
-                                 ~0ull);
+// Full contention, rotating grant: each iteration steps twice, dropping
+// the first winner's request for the second step, so the grant moves on
+// every iteration.
+void step_wide_rotating(benchmark::State& state, rcarb::core::Arbiter& arb) {
+  std::vector<std::uint64_t> req(
+      static_cast<std::size_t>((arb.size() + 63) / 64), ~0ull);
   std::uint64_t granted = 0;
   for (auto _ : state) {
     const int g = arb.step_wide(req);
-    // Drop the winner's request for the next cycle so the grant rotates
-    // every iteration (full contention, worst-case scan).
     const std::uint64_t bit = 1ull << (static_cast<unsigned>(g) & 63u);
     req[static_cast<std::size_t>(g) >> 6] ^= bit;
     granted += static_cast<std::uint64_t>(g);
@@ -185,7 +185,21 @@ void BM_StepWideHierarchical(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(granted);
 }
+
+void BM_StepWideHierarchical(benchmark::State& state) {
+  rcarb::core::HierarchicalArbiter arb(static_cast<int>(state.range(0)));
+  step_wide_rotating(state, arb);
+}
 BENCHMARK(BM_StepWideHierarchical)->Arg(256)->Arg(1024);
+
+void BM_StepWideFlat(benchmark::State& state) {
+  rcarb::core::SystemArbiterSpec spec;
+  spec.kind = ArbiterKind::kFlatFsm;
+  const rcarb::core::SystemArbiter made = rcarb::core::make_system_arbiter(
+      static_cast<int>(state.range(0)), spec);
+  step_wide_rotating(state, *made.arbiter);
+}
+BENCHMARK(BM_StepWideFlat)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 

@@ -12,7 +12,7 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 status=0
 for b in fig8_overhead fft_section5 global_schedule fault_campaign \
-         degradation; do
+         degradation service_load service_faults; do
   RCARB_BENCH_DIR="$out" "$build/bench/bench_$b" --benchmark_filter=NONE |
     grep -v -e '^bench report: ' -e '^chrome trace: ' >"$out/bench_$b.txt"
   if [[ "${2:-}" == --update ]]; then
