@@ -29,7 +29,7 @@ namespace rcarb::core {
 /// select_arbiter_kind pick from the port count and a timing budget.
 enum class ArbiterChoice : std::uint8_t {
   kAuto,          // resolve from (n, fmax budget) via the prechar cache
-  kFlatFsm,       // Fig. 5 chain (RoundRobinArbiter; FlatWideArbiter > 64)
+  kFlatFsm,       // Fig. 5 chain (RoundRobinArbiter at every width)
   kHierarchical,  // tree-of-arbiters
   kPrefix,        // Kogge-Stone thermometer-mask
 };
@@ -61,8 +61,9 @@ struct SystemArbiterSpec {
   /// Round-robin structure; ignored for non-round-robin policies.
   ArbiterKind kind = ArbiterKind::kFlatFsm;
   int arity = 4;  // tree arity, kHierarchical only
-  /// Preemption/hardening; flat-only — the scalable kinds have no one-hot
-  /// register to harden and no hold counter, so these are ignored there.
+  /// Preemption/hardening; flat-only, honoured at every width — the
+  /// scalable kinds have no one-hot register to harden and no hold
+  /// counter, so these are ignored there.
   RoundRobinOptions rr;
   /// Replication; flat-only (the self-checking netlists duplicate the
   /// Fig. 5 core) and capped at 64 ports (the behavioral model compares
@@ -82,7 +83,6 @@ struct SystemArbiter {
   SelfCheckingArbiter* sc = nullptr;
   HierarchicalArbiter* hier = nullptr;
   PrefixArbiter* prefix = nullptr;
-  FlatWideArbiter* flat_wide = nullptr;
 };
 
 /// The single construction path for system-layer arbiters (service engine

@@ -16,10 +16,6 @@ int ceil_log2(int m) {
                      static_cast<unsigned>(m) - 1u));
 }
 
-std::size_t word_count(int n) {
-  return static_cast<std::size_t>((n + 63) / 64);
-}
-
 bool word_bit(const std::vector<std::uint64_t>& words, int i) {
   return ((words[static_cast<std::size_t>(i) >> 6] >>
            (static_cast<unsigned>(i) & 63u)) &
@@ -101,10 +97,8 @@ HierShape make_hier_shape(int n, int arity) {
 // ---------------------------------------------------------- HierarchicalArbiter
 
 HierarchicalArbiter::HierarchicalArbiter(int n, int arity)
-    : Arbiter(WideTag{}, n), shape_(make_hier_shape(n, arity)) {
+    : WideArbiter(n), shape_(make_hier_shape(n, arity)) {
   ptr_.assign(shape_.nodes.size(), 0);
-  grant_.assign(word_count(n), 0);
-  req_scratch_.assign(word_count(n), 0);
   any_scratch_.assign(std::max<std::size_t>(shape_.nodes.size(), 1), 0);
 }
 
@@ -112,7 +106,7 @@ void HierarchicalArbiter::reset() {
   std::fill(ptr_.begin(), ptr_.end(), 0);
   held_ = 0;
   valid_ = false;
-  std::fill(grant_.begin(), grant_.end(), 0);
+  clear_grant();
 }
 
 std::string HierarchicalArbiter::describe() const {
@@ -120,18 +114,8 @@ std::string HierarchicalArbiter::describe() const {
          ", arity=" + std::to_string(shape_.arity) + ")";
 }
 
-int HierarchicalArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
-  const int g = step_wide_impl(requests);
-  notify_wide(requests, g);
-  return g;
-}
-
 int HierarchicalArbiter::step_wide_impl(
     const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(requests.size() >= grant_.size(),
-              "request vector narrower than the arbiter");
-  std::fill(grant_.begin(), grant_.end(), 0);
-
   int g = -1;
   bool new_grant = false;
   // Hold path: the current holder keeps its grant while requesting.  An
@@ -188,18 +172,8 @@ int HierarchicalArbiter::step_wide_impl(
 
   if (new_grant) held_ = g;
   valid_ = g >= 0;
-  if (g >= 0)
-    grant_[static_cast<std::size_t>(g) >> 6] |=
-        1ull << (static_cast<unsigned>(g) & 63u);
+  if (g >= 0) set_grant(g);
   return g;
-}
-
-int HierarchicalArbiter::do_step(std::uint64_t requests) {
-  // step() fires the word-based observer hook itself; going through the
-  // impl avoids notifying twice.
-  std::fill(req_scratch_.begin(), req_scratch_.end(), 0);
-  req_scratch_[0] = requests;
-  return step_wide_impl(req_scratch_);
 }
 
 std::uint64_t HierarchicalArbiter::state_bits() const {
@@ -235,34 +209,21 @@ void HierarchicalArbiter::inject_state_bit(int bit) {
 
 // ----------------------------------------------------------- PrefixArbiter
 
-PrefixArbiter::PrefixArbiter(int n) : Arbiter(WideTag{}, n) {
-  ptr_.assign(word_count(n), 0);
+PrefixArbiter::PrefixArbiter(int n) : WideArbiter(n), ptr_(words(), 0) {
   ptr_[0] = 1;
-  grant_.assign(word_count(n), 0);
-  req_scratch_.assign(word_count(n), 0);
 }
 
 void PrefixArbiter::reset() {
   std::fill(ptr_.begin(), ptr_.end(), 0);
   ptr_[0] = 1;
-  std::fill(grant_.begin(), grant_.end(), 0);
+  clear_grant();
 }
 
 std::string PrefixArbiter::describe() const {
   return "prefix-rr(n=" + std::to_string(n_) + ")";
 }
 
-int PrefixArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
-  const int g = step_wide_impl(requests);
-  notify_wide(requests, g);
-  return g;
-}
-
 int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(requests.size() >= grant_.size(),
-              "request vector narrower than the arbiter");
-  std::fill(grant_.begin(), grant_.end(), 0);
-
   // Thermometer mask from the lowest pointer bit (an SEU can leave the
   // register multi-hot — the mask still starts at the lowest hot bit, or
   // covers nothing when zero-hot, matching the prefix-OR netlist).
@@ -273,7 +234,7 @@ int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
 
   int first_hi = -1;
   int first_req = -1;
-  const std::size_t words = grant_.size();
+  const std::size_t words = this->words();
   for (std::size_t w = 0; w < words && (first_hi < 0 || first_req < 0); ++w) {
     std::uint64_t r = requests[w];
     if (w + 1 == words && (n_ & 63) != 0) r &= (1ull << (n_ & 63)) - 1;
@@ -297,16 +258,9 @@ int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
     std::fill(ptr_.begin(), ptr_.end(), 0);
     ptr_[static_cast<std::size_t>(g) >> 6] =
         1ull << (static_cast<unsigned>(g) & 63u);
-    grant_[static_cast<std::size_t>(g) >> 6] =
-        1ull << (static_cast<unsigned>(g) & 63u);
+    set_grant(g);
   }
   return g;
-}
-
-int PrefixArbiter::do_step(std::uint64_t requests) {
-  std::fill(req_scratch_.begin(), req_scratch_.end(), 0);
-  req_scratch_[0] = requests;
-  return step_wide_impl(req_scratch_);
 }
 
 std::uint64_t PrefixArbiter::state_bits() const {
@@ -318,73 +272,6 @@ void PrefixArbiter::inject_state_bit(int bit) {
   RCARB_CHECK(bit >= 0 && bit < n_, "state bit out of range");
   ptr_[static_cast<std::size_t>(bit) >> 6] ^=
       1ull << (static_cast<unsigned>(bit) & 63u);
-}
-
-// ---------------------------------------------------------- FlatWideArbiter
-
-FlatWideArbiter::FlatWideArbiter(int n) : Arbiter(WideTag{}, n) {
-  grant_.assign(word_count(n), 0);
-  req_scratch_.assign(word_count(n), 0);
-}
-
-void FlatWideArbiter::reset() {
-  pos_ = 0;
-  held_ = false;
-  std::fill(grant_.begin(), grant_.end(), 0);
-}
-
-std::string FlatWideArbiter::describe() const {
-  return "flat-rr-wide(n=" + std::to_string(n_) + ")";
-}
-
-int FlatWideArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
-  const int g = step_wide_impl(requests);
-  notify_wide(requests, g);
-  return g;
-}
-
-int FlatWideArbiter::step_wide_impl(
-    const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(requests.size() >= grant_.size(),
-              "request vector narrower than the arbiter");
-  std::fill(grant_.begin(), grant_.end(), 0);
-
-  // The Fig. 5 chain scans cyclically from the priority index; the holder
-  // sits at pos_, so while it keeps requesting it is re-found first (the
-  // Ci hold).  Scan words, masking bits below the start and past n.
-  const std::size_t words = grant_.size();
-  int g = -1;
-  for (std::size_t k = 0; k <= words && g < 0; ++k) {
-    // Pass 1 covers [pos_, n); pass 2 wraps to [0, pos_).
-    const std::size_t w = (static_cast<std::size_t>(pos_) / 64 + k) % words;
-    std::uint64_t r = requests[w];
-    if (k == 0) r &= ~0ull << (static_cast<unsigned>(pos_) & 63u);
-    if (w + 1 == words && (n_ & 63) != 0) r &= (1ull << (n_ & 63)) - 1;
-    if (k == words)
-      r &= (static_cast<unsigned>(pos_) & 63u) != 0
-               ? (1ull << (static_cast<unsigned>(pos_) & 63u)) - 1
-               : 0;
-    if (r != 0) g = static_cast<int>(w * 64) + std::countr_zero(r);
-  }
-
-  if (g >= 0) {
-    pos_ = g;
-    held_ = true;
-    grant_[static_cast<std::size_t>(g) >> 6] |=
-        1ull << (static_cast<unsigned>(g) & 63u);
-  } else if (held_) {
-    // Release to idle: the chain retires Ci -> F(i+1), rotating priority
-    // past the finished holder.
-    pos_ = (pos_ + 1) % n_;
-    held_ = false;
-  }
-  return g;
-}
-
-int FlatWideArbiter::do_step(std::uint64_t requests) {
-  std::fill(req_scratch_.begin(), req_scratch_.end(), 0);
-  req_scratch_[0] = requests;
-  return step_wide_impl(req_scratch_);
 }
 
 // ---------------------------------------------------------- AIG generators

@@ -20,6 +20,10 @@
 //    requests at-or-after the pointer and pick the first one in O(log N)
 //    depth with every internal net at constant fanout.
 //
+// The flat Fig. 5 chain itself needs no separate wide model:
+// RoundRobinArbiter (core/policy.hpp) runs it at every width up to
+// kMaxWideInputs, and build_flat_onehot_aig below is its netlist twin.
+//
 // Both grant the same Fig. 8 contract as the flat FSM — at most one grant
 // per cycle, a holder keeps its grant while requesting, rotation on
 // release — but their rotation orders legitimately differ, so cross-kind
@@ -89,20 +93,11 @@ struct HierShape {
 
 /// Behavioral tree-of-arbiters.  Widths above 64 use step_wide(); the
 /// word-based Arbiter::step() addresses ports 0..63 of a wider instance.
-class HierarchicalArbiter final : public Arbiter {
+class HierarchicalArbiter final : public WideArbiter {
  public:
   explicit HierarchicalArbiter(int n, int arity = 4);
   void reset() override;
   [[nodiscard]] std::string describe() const override;
-
-  /// One cycle over a words-encoded request vector (bit i of word i/64 =
-  /// port i).  Returns the granted port or -1.
-  int step_wide(const std::vector<std::uint64_t>& requests) override;
-
-  /// Grants asserted by the last step, words-encoded (one-hot or empty).
-  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
-    return grant_;
-  }
 
   [[nodiscard]] const HierShape& shape() const { return shape_; }
   [[nodiscard]] int num_state_bits() const { return shape_.num_state_bits(); }
@@ -116,16 +111,13 @@ class HierarchicalArbiter final : public Arbiter {
   }
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int step_wide_impl(const std::vector<std::uint64_t>& requests) override;
 
  private:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests);
   HierShape shape_;
   std::vector<int> ptr_;  // per node, in [0, 1 << ptr_bits)
   int held_ = 0;          // holder index, meaningful while valid_
   bool valid_ = false;
-  std::vector<std::uint64_t> grant_;
-  std::vector<std::uint64_t> req_scratch_;
   std::vector<char> any_scratch_;
 };
 
@@ -133,16 +125,11 @@ class HierarchicalArbiter final : public Arbiter {
 /// N-bit one-hot pointer at the last granted port (reset: port 0); grants
 /// scan from the pointer, so a requesting holder is re-granted and the
 /// pointer advances only when the grant moves.
-class PrefixArbiter final : public Arbiter {
+class PrefixArbiter final : public WideArbiter {
  public:
   explicit PrefixArbiter(int n);
   void reset() override;
   [[nodiscard]] std::string describe() const override;
-
-  int step_wide(const std::vector<std::uint64_t>& requests) override;
-  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
-    return grant_;
-  }
 
   [[nodiscard]] int num_state_bits() const { return n_; }
   /// Packed pointer register (bit i = ptr_i).  Requires n <= 64.
@@ -153,41 +140,10 @@ class PrefixArbiter final : public Arbiter {
   }
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int step_wide_impl(const std::vector<std::uint64_t>& requests) override;
 
  private:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests);
   std::vector<std::uint64_t> ptr_;
-  std::vector<std::uint64_t> grant_;
-  std::vector<std::uint64_t> req_scratch_;
-};
-
-/// Behavioral width-unlimited flat Fig. 5 chain: the same grant sequence
-/// as RoundRobinArbiter (scan cyclically from the priority index, hold
-/// while the holder requests, rotate past the holder on an idle release)
-/// without the one-hot state register and its SEU/preemption machinery.
-/// Exists so the wide service layers can run the flat baseline at
-/// N > 64; its netlist twin is build_flat_onehot_aig.
-class FlatWideArbiter final : public Arbiter {
- public:
-  explicit FlatWideArbiter(int n);
-  void reset() override;
-  [[nodiscard]] std::string describe() const override;
-
-  int step_wide(const std::vector<std::uint64_t>& requests) override;
-  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
-    return grant_;
-  }
-
- protected:
-  int do_step(std::uint64_t requests) override;
-
- private:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests);
-  int pos_ = 0;        // priority index (the Fi/Ci chain position)
-  bool held_ = false;  // in a Ci state: pos_ granted last cycle
-  std::vector<std::uint64_t> grant_;
-  std::vector<std::uint64_t> req_scratch_;
 };
 
 // ---- AIG generators -------------------------------------------------------
@@ -207,7 +163,8 @@ class FlatWideArbiter final : public Arbiter {
 
 /// Width-unlimited flat Fig. 5 chain (one-hot, 2n state bits: bit i = Fi,
 /// bit n+i = Ci), the same structure core/structural.cpp builds for
-/// n <= 32 from explicit state codes.  Reset: F0 (bit 0).
+/// n <= 32 from explicit state codes, and the netlist twin of
+/// RoundRobinArbiter at every width.  Reset: F0 (bit 0).
 [[nodiscard]] aig::Aig build_flat_onehot_aig(int n);
 
 /// Reset vector matching the kind's AIG state-bit layout.

@@ -30,109 +30,179 @@ Arbiter::Arbiter(WideTag, int n) : n_(n) {
 int Arbiter::step_wide(const std::vector<std::uint64_t>& requests) {
   RCARB_CHECK(n_ <= 64,
               "this arbiter kind is word-width; widths past 64 ports need a "
-              "wide kind (core/hier.hpp)");
+              "wide kind (WideArbiter)");
   return step(requests.empty() ? 0 : requests[0]);
+}
+
+namespace {
+
+std::size_t word_count(int n) { return static_cast<std::size_t>(n + 63) / 64; }
+
+void set_bit(std::vector<std::uint64_t>& words, std::size_t bit) {
+  words[bit >> 6] |= 1ull << (bit & 63u);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------- WideArbiter
+
+WideArbiter::WideArbiter(int n)
+    : Arbiter(WideTag{}, n),
+      grant_(word_count(n), 0),
+      req_scratch_(word_count(n), 0) {}
+
+int WideArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
+  RCARB_CHECK(requests.size() >= words(),
+              "request vector narrower than the arbiter");
+  const int g = advance(requests);
+  notify_wide(requests, g);
+  return g;
+}
+
+int WideArbiter::do_step(std::uint64_t requests) {
+  // step() fires the word-based observer hook itself; going through
+  // advance avoids notifying twice.
+  req_scratch_[0] = requests;
+  return advance(req_scratch_);
 }
 
 // ---------------------------------------------------------------- RoundRobin
 
 RoundRobinArbiter::RoundRobinArbiter(int n, RoundRobinOptions options)
-    : Arbiter(n), options_(options) {
+    : WideArbiter(n),
+      options_(options),
+      reg_(2 * word_count(n), 0),
+      next_reg_(2 * word_count(n), 0),
+      top_mask_(n % 64 == 0 ? ~0ull : (1ull << (n % 64)) - 1) {
   RCARB_CHECK(options.max_hold_cycles >= 0, "negative max_hold_cycles");
+  load_reset_state();
 }
 
-RoundRobinArbiter::NextState RoundRobinArbiter::step_one_state(
-    int i, bool in_c, std::uint64_t requests, int* granted) const {
-  *granted = -1;
-  // Fig. 5: no requests — Fi stays, Ci retires to F(i+1).
-  if (requests == 0) return {in_c ? (i + 1) % n_ : i, false};
-  // Cyclic scan from the priority index i (identical for Ci and Fi).
-  for (int k = 0; k < n_; ++k) {
-    const int j = (i + k) % n_;
-    if ((requests >> j) & 1u) {
-      *granted = j;
-      return {j, true};
-    }
+int RoundRobinArbiter::scan(const std::vector<std::uint64_t>& requests,
+                            int from) const {
+  const std::size_t last = words() - 1;
+  const auto word = [&](std::size_t w) {
+    return w == last ? requests[w] & top_mask_ : requests[w];
+  };
+  // Pass 1 covers [from, n), pass 2 wraps to [0, from).  Pass 2 may read
+  // from's own word whole: pass 1 found no request at or past `from`.
+  const std::size_t first = static_cast<std::size_t>(from) >> 6;
+  std::uint64_t r = word(first) & (~0ull << (static_cast<unsigned>(from) & 63u));
+  for (std::size_t w = first;;) {
+    if (r != 0) return static_cast<int>(w * 64) + std::countr_zero(r);
+    if (++w > last) break;
+    r = word(w);
   }
-  RCARB_ASSERT(false, "unreachable: requests were nonzero");
-  return {i, in_c};
+  for (std::size_t w = 0; w <= first; ++w)
+    if ((r = word(w)) != 0)
+      return static_cast<int>(w * 64) + std::countr_zero(r);
+  return -1;
 }
 
-int RoundRobinArbiter::do_step(std::uint64_t requests) {
-  grant_mask_ = 0;
-
-  if (!state_legal()) {
-    if (options_.harden) {
-      // Hardened register bank: any non-one-hot code loads the reset state
-      // F0 — the safe all-free state — and arbitration resumes in the same
-      // step (recovery within one cycle, matching the hardened netlist).
-      f_bits_ = 1;
-      c_bits_ = 0;
-      held_cycles_ = 0;
-      ++recoveries_;
-    } else if (f_bits_ == 0 && c_bits_ == 0) {
+int RoundRobinArbiter::step_wide_impl(
+    const std::vector<std::uint64_t>& requests) {
+  if (hot_count_ != 1) {
+    if (!options_.harden) {
       // Zero-hot: no state recognizer fires; the machine is dead.
-      return -1;
-    } else {
-      // Multi-hot: every hot state's single-literal recognizer fires, so
-      // the register ORs all their successors and every scan winner is
-      // granted at once — mutual exclusion is gone.  Faithful to the
-      // unhardened one-hot netlist.
-      std::uint64_t next_f = 0, next_c = 0;
-      for (int b = 0; b < 2 * n_; ++b) {
-        const bool in_c = b >= n_;
-        const int i = in_c ? b - n_ : b;
-        if (!(((in_c ? c_bits_ : f_bits_) >> i) & 1u)) continue;
-        int g = -1;
-        const NextState ns = step_one_state(i, in_c, requests, &g);
-        (ns.in_c ? next_c : next_f) |= 1ull << ns.index;
-        if (g >= 0) grant_mask_ |= 1ull << g;
-      }
-      f_bits_ = next_f;
-      c_bits_ = next_c;
-      held_cycles_ = 0;
-      return grant_mask_ == 0 ? -1 : std::countr_zero(grant_mask_);
+      return hot_count_ == 0 ? -1 : step_multi_hot(requests);
     }
+    // Hardened register bank: any non-one-hot code loads the reset state
+    // F0 — the safe all-free state — and arbitration resumes in the same
+    // step (recovery within one cycle, matching the hardened netlist).
+    load_reset_state();
+    held_cycles_ = 0;
+    ++recoveries_;
   }
 
-  const bool in_c = c_bits_ != 0;
-  const int index = std::countr_zero(in_c ? c_bits_ : f_bits_);
+  // The one legal state (index, in_c).
+  const std::size_t c_base = words() * 64;
+  const bool in_c = hot_bit_ >= c_base;
+  const int index = static_cast<int>(hot_bit_ - (in_c ? c_base : 0));
 
   // Future-work preemption: a saturated holder loses its turn when someone
-  // else is waiting; the scan then starts past it.
-  if (in_c && requests != 0 && options_.max_hold_cycles > 0 &&
-      held_cycles_ >= options_.max_hold_cycles &&
-      (requests & ~(1ull << index)) != 0) {
-    const int start = (index + 1) % n_;
-    for (int k = 0; k < n_; ++k) {
-      const int j = (start + k) % n_;
-      if (j != index && ((requests >> j) & 1u)) {
-        f_bits_ = 0;
-        c_bits_ = 1ull << j;
-        held_cycles_ = 1;
-        grant_mask_ = 1ull << j;
-        return j;
-      }
-    }
-  }
-
+  // else is waiting; the scan then starts past it (and reaches the holder
+  // itself last, so finding it means nobody else waits).
   int granted = -1;
-  const NextState next = step_one_state(index, in_c, requests, &granted);
-  if (granted < 0) {
-    held_cycles_ = 0;
-  } else {
-    held_cycles_ = (in_c && granted == index) ? held_cycles_ + 1 : 1;
-    grant_mask_ = 1ull << granted;
+  if (in_c && options_.max_hold_cycles > 0 &&
+      held_cycles_ >= options_.max_hold_cycles) {
+    const int j = scan(requests, next_port(index));
+    if (j != index) granted = j;
   }
-  f_bits_ = next.in_c ? 0 : (1ull << next.index);
-  c_bits_ = next.in_c ? (1ull << next.index) : 0;
+  if (granted >= 0) {
+    held_cycles_ = 1;
+  } else {
+    // Fig. 5: cyclic scan from the priority index (identical for Ci and
+    // Fi).  No requests: Fi stays, Ci retires to F(i+1).
+    granted = scan(requests, index);
+    if (granted < 0) {
+      held_cycles_ = 0;
+      move_hot_bit(state_bit(in_c ? next_port(index) : index, false));
+      return -1;
+    }
+    held_cycles_ = (in_c && granted == index) ? held_cycles_ + 1 : 1;
+  }
+  move_hot_bit(state_bit(granted, true));
+  set_grant(granted);
   return granted;
 }
 
+void RoundRobinArbiter::move_hot_bit(std::size_t bit) {
+  // One-hot: the hot bit's word holds nothing else.
+  reg_[hot_bit_ >> 6] = 0;
+  hot_bit_ = bit;
+  set_bit(reg_, bit);
+}
+
+void RoundRobinArbiter::load_reset_state() {
+  std::fill(reg_.begin(), reg_.end(), 0);
+  reg_[0] = 1;  // F0
+  hot_count_ = 1;
+  hot_bit_ = 0;
+}
+
+void RoundRobinArbiter::recount() {
+  hot_count_ = 0;
+  for (std::size_t w = 0; w < reg_.size(); ++w) {
+    if (reg_[w] == 0) continue;
+    hot_count_ += std::popcount(reg_[w]);
+    hot_bit_ = w * 64 + static_cast<std::size_t>(std::countr_zero(reg_[w]));
+  }
+}
+
+int RoundRobinArbiter::step_multi_hot(
+    const std::vector<std::uint64_t>& requests) {
+  // Multi-hot: every hot state's single-literal recognizer fires, so the
+  // register ORs all their successors and every scan winner is granted at
+  // once — mutual exclusion is gone.  Faithful to the unhardened one-hot
+  // netlist.
+  std::fill(next_reg_.begin(), next_reg_.end(), 0);
+  for (std::size_t w = 0; w < reg_.size(); ++w) {
+    const bool in_c = w >= words();
+    for (std::uint64_t bits = reg_[w]; bits != 0; bits &= bits - 1) {
+      const int i = static_cast<int>((w - (in_c ? words() : 0)) * 64) +
+                    std::countr_zero(bits);
+      const int j = scan(requests, i);
+      if (j >= 0) {
+        set_bit(next_reg_, state_bit(j, true));
+        set_grant(j);
+      } else {
+        set_bit(next_reg_, state_bit(in_c ? next_port(i) : i, false));
+      }
+    }
+  }
+  reg_.swap(next_reg_);
+  recount();
+  held_cycles_ = 0;
+  for (std::size_t w = 0; w < words(); ++w)
+    if (last_grant_words()[w] != 0)
+      return static_cast<int>(w * 64) +
+             std::countr_zero(last_grant_words()[w]);
+  return -1;
+}
+
 void RoundRobinArbiter::reset() {
-  f_bits_ = 1;
-  c_bits_ = 0;
-  grant_mask_ = 0;
+  load_reset_state();
+  clear_grant();
   held_cycles_ = 0;
 }
 
@@ -141,27 +211,36 @@ std::string RoundRobinArbiter::describe() const {
 }
 
 std::string RoundRobinArbiter::state_name() const {
-  RCARB_CHECK(state_legal(), "state_name on an illegal register");
-  const bool in_c = c_bits_ != 0;
-  return (in_c ? "C" : "F") +
-         std::to_string(std::countr_zero(in_c ? c_bits_ : f_bits_));
+  std::string name;
+  for (std::size_t w = 0; w < reg_.size(); ++w) {
+    const bool in_c = w >= words();
+    for (std::uint64_t bits = reg_[w]; bits != 0; bits &= bits - 1) {
+      if (!name.empty()) name += '+';
+      name += (in_c ? "C" : "F") +
+              std::to_string((w - (in_c ? words() : 0)) * 64 +
+                             static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
+  return name.empty() ? "none" : name;
 }
 
 std::uint64_t RoundRobinArbiter::state_bits() const {
   RCARB_CHECK(n_ <= 32, "state_bits requires 2n <= 64");
-  return f_bits_ | (c_bits_ << n_);
+  return reg_[0] | (reg_[1] << n_);
 }
 
-bool RoundRobinArbiter::state_legal() const {
-  return std::popcount(f_bits_) + std::popcount(c_bits_) == 1;
+RoundRobinArbiter::StateWords RoundRobinArbiter::state_words() const {
+  RCARB_CHECK(n_ <= 64, "state_words requires n <= 64");
+  return {reg_[0], reg_[1]};
 }
+
+bool RoundRobinArbiter::state_legal() const { return hot_count_ == 1; }
 
 void RoundRobinArbiter::inject_bit_flip(int bit) {
   RCARB_CHECK(bit >= 0 && bit < 2 * n_, "state bit out of range");
-  if (bit < n_)
-    f_bits_ ^= 1ull << bit;
-  else
-    c_bits_ ^= 1ull << (bit - n_);
+  const std::size_t b = state_bit(bit < n_ ? bit : bit - n_, bit >= n_);
+  reg_[b >> 6] ^= 1ull << (b & 63u);
+  recount();
 }
 
 // ---------------------------------------------------------------------- FIFO

@@ -8,11 +8,13 @@
 // deasserting Req); the policies differ in whom they pick next.
 //
 // The round-robin model implements Fig. 5 *exactly* (states Ci/Fi, cyclic
-// scan from the priority index), and is proven equivalent to the
-// synthesized FSM netlist in the test suite.  The paper's future-work
-// preemption appears as RoundRobinOptions::max_hold_cycles.
+// scan from the priority index) at every width up to kMaxWideInputs, and
+// is proven equivalent to the synthesized FSM netlist in the test suite.
+// The paper's future-work preemption appears as
+// RoundRobinOptions::max_hold_cycles.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -37,8 +39,9 @@ enum class Policy : std::uint8_t {
 /// deassert Req) when the grant is immediate.
 inline constexpr int kProtocolOverheadCycles = 2;
 
-/// Largest request-vector width of the wide (vector-request) arbiters in
-/// core/hier.hpp.  Ordinary word-request arbiters stay capped at 64.
+/// Largest request-vector width of the wide (vector-request) arbiters:
+/// RoundRobinArbiter and the scalable kinds in core/hier.hpp.  The other
+/// policies stay capped at 64.
 inline constexpr int kMaxWideInputs = 4096;
 
 /// Observation hook over the request/grant wire traffic of one arbiter.
@@ -80,9 +83,9 @@ class Arbiter {
 
   /// One clock cycle over a words-encoded request vector (bit i of word
   /// i/64 = port i).  The base implementation serves word-width arbiters
-  /// by forwarding to step() (and CHECK-fails past 64 ports); the wide
-  /// arbiters in core/hier.hpp override it, notify observers through
-  /// on_step_wide, and accept up to kMaxWideInputs.
+  /// by forwarding to step() (and CHECK-fails past 64 ports); WideArbiter
+  /// overrides it, notifies observers through on_step_wide, and accepts up
+  /// to kMaxWideInputs.
   virtual int step_wide(const std::vector<std::uint64_t>& requests);
 
   /// Attaches (or detaches, with nullptr) a borrowed observer.
@@ -113,6 +116,46 @@ class Arbiter {
   ArbiterObserver* observer_ = nullptr;
 };
 
+/// Shared plumbing of the vector-request arbiters (RoundRobinArbiter and
+/// the scalable kinds in core/hier.hpp): up to kMaxWideInputs ports, a
+/// words-encoded grant vector, and both entry points routed into one
+/// transition, step_wide_impl.  The word step() addresses ports 0..63.
+class WideArbiter : public Arbiter {
+ public:
+  /// One cycle over a words-encoded request vector (bit i of word i/64 =
+  /// port i; bits past the width are ignored).  Returns the granted port
+  /// or -1.
+  int step_wide(const std::vector<std::uint64_t>& requests) final;
+
+  /// Grants asserted by the last step, words-encoded.
+  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
+    return grant_;
+  }
+
+ protected:
+  explicit WideArbiter(int n);
+  int do_step(std::uint64_t requests) final;
+  /// The kind's transition over at least words() request words.  grant_
+  /// arrives cleared; the transition sets the bits it asserts.
+  virtual int step_wide_impl(const std::vector<std::uint64_t>& requests) = 0;
+  [[nodiscard]] std::size_t words() const { return grant_.size(); }
+  void clear_grant() { std::fill(grant_.begin(), grant_.end(), 0); }
+  void set_grant(int port) {
+    grant_[static_cast<std::size_t>(port) >> 6] |=
+        1ull << (static_cast<unsigned>(port) & 63u);
+  }
+
+ private:
+  int advance(const std::vector<std::uint64_t>& requests) {
+    clear_grant();
+    return step_wide_impl(requests);
+  }
+  std::vector<std::uint64_t> grant_;
+  // The word entry's request vector: do_step writes word 0 only, so the
+  // words past it stay zero from construction on.
+  std::vector<std::uint64_t> req_scratch_;
+};
+
 /// Options for the round-robin model.
 struct RoundRobinOptions {
   /// 0 disables preemption (the paper's presented form).  Otherwise a
@@ -128,18 +171,19 @@ struct RoundRobinOptions {
   bool harden = false;
 };
 
-/// Fig. 5 round-robin arbiter.  The 2N states Ci/Fi live in an explicit
-/// one-hot register (bit i = Fi, bit n+i = Ci) so single-event upsets can
-/// be injected and the hardened recovery modeled bit-exactly against the
-/// synthesized netlist.
-class RoundRobinArbiter final : public Arbiter {
+/// Fig. 5 round-robin arbiter for 1 <= n <= kMaxWideInputs.  The 2N states
+/// Ci/Fi live in an explicit one-hot register (bit i = Fi, bit n+i = Ci),
+/// held as ceil(n/64) F words and as many C words, so single-event upsets
+/// can be injected and the hardened recovery modeled bit-exactly against
+/// the synthesized netlist at any width.
+class RoundRobinArbiter final : public WideArbiter {
  public:
   explicit RoundRobinArbiter(int n, RoundRobinOptions options = {});
   void reset() override;
   [[nodiscard]] std::string describe() const override;
 
-  /// Exposed for FSM-equivalence tests: current state as "Ci"/"Fi" text.
-  /// Requires a legal (exactly one-hot) register.
+  /// The register's hot states as "Fi"/"Ci" names in bit order, joined by
+  /// '+': "C2" in a legal state, "F0+F4" multi-hot, "none" zero-hot.
   [[nodiscard]] std::string state_name() const;
 
   /// The one-hot state register: bit i = Fi, bit n+i = Ci.  Requires
@@ -155,7 +199,7 @@ class RoundRobinArbiter final : public Arbiter {
     std::uint64_t c = 0;
     [[nodiscard]] bool operator==(const StateWords&) const = default;
   };
-  [[nodiscard]] StateWords state_words() const { return {f_bits_, c_bits_}; }
+  [[nodiscard]] StateWords state_words() const;
 
   /// True when the register holds exactly one hot bit.
   [[nodiscard]] bool state_legal() const;
@@ -163,32 +207,47 @@ class RoundRobinArbiter final : public Arbiter {
   /// SEU injection: XOR one bit of the state register (0 <= bit < 2n).
   void inject_bit_flip(int bit);
 
-  /// Every grant asserted by the last step().  Legal states assert at most
-  /// one; an unhardened multi-hot register can assert several (the
-  /// mutual-exclusion violation a fault campaign must surface).
-  [[nodiscard]] std::uint64_t last_grant_mask() const { return grant_mask_; }
+  /// Word 0 of last_grant_words(): the grants among ports 0..63 asserted
+  /// by the last step.  Legal states assert at most one; an unhardened
+  /// multi-hot register can assert several (the mutual-exclusion violation
+  /// a fault campaign must surface).
+  [[nodiscard]] std::uint64_t last_grant_mask() const {
+    return last_grant_words()[0];
+  }
 
   /// Illegal-state recoveries performed so far (hardened mode only).
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int step_wide_impl(const std::vector<std::uint64_t>& requests) override;
 
  private:
-  /// Fig. 5 transition from the single state (i, in_c): returns the
-  /// successor state and sets `granted` (-1 = none).
-  struct NextState {
-    int index;
-    bool in_c;
-  };
-  [[nodiscard]] NextState step_one_state(int i, bool in_c,
-                                         std::uint64_t requests,
-                                         int* granted) const;
+  /// First requesting port cyclically at or after `from`, or -1.
+  [[nodiscard]] int scan(const std::vector<std::uint64_t>& requests,
+                         int from) const;
+  int step_multi_hot(const std::vector<std::uint64_t>& requests);
+  /// Legal register: moves the one hot bit to reg_ bit `bit`.
+  void move_hot_bit(std::size_t bit);
+  void load_reset_state();
+  /// Re-derives hot_count_/hot_bit_ after an arbitrary register change.
+  void recount();
+  [[nodiscard]] int next_port(int i) const { return i + 1 == n_ ? 0 : i + 1; }
+  /// Register bit of state Fi (in_c false) or Ci, as an index into reg_.
+  [[nodiscard]] std::size_t state_bit(int i, bool in_c) const {
+    return (in_c ? words() * 64 : 0) + static_cast<std::size_t>(i);
+  }
 
   RoundRobinOptions options_;
-  std::uint64_t f_bits_ = 1;   // one-hot among F0..F(n-1); reset = F0
-  std::uint64_t c_bits_ = 0;   // one-hot among C0..C(n-1)
-  std::uint64_t grant_mask_ = 0;
+  // Words [0, W) hold the Fi one-hots, [W, 2W) the Ci one-hots
+  // (W = ceil(n/64)); reset = F0.
+  std::vector<std::uint64_t> reg_;
+  std::vector<std::uint64_t> next_reg_;  // multi-hot successor scratch
+  // Hot bits in reg_, kept exact by every register write, so a legal step
+  // finds its state without reading the register; hot_bit_ is the reg_
+  // bit index of the hot state while hot_count_ == 1.
+  int hot_count_ = 1;
+  std::size_t hot_bit_ = 0;
+  std::uint64_t top_mask_;  // the ports of the last request word
   std::uint64_t recoveries_ = 0;
   int held_cycles_ = 0;
 };

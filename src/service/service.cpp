@@ -35,6 +35,13 @@ std::uint64_t retry_delay(const RetryPolicy& retry, int attempts,
 
 namespace {
 
+/// Grants asserted across a words-encoded grant vector.
+int grant_count(const std::vector<std::uint64_t>& grant_words) {
+  int count = 0;
+  for (const std::uint64_t w : grant_words) count += std::popcount(w);
+  return count;
+}
+
 /// One in-flight client request.  `arrival` is the *first* attempt's
 /// cycle, so retry delays count against the client's latency and timeout.
 struct Request {
@@ -326,8 +333,9 @@ class Engine {
   void arbitrate_and_serve(int r, ResourceState& st, ResourceStats& rs) {
     if (st.latched) return;  // frozen register: no clocking, no grants
     // Fig. 8 request lines: waiting and serving slots keep Req asserted.
-    // Words-encoded so widths past 64 work; at <= 64 ports the base
-    // step_wide forwards to the word-based step() unchanged.
+    // Words-encoded so widths past 64 work: the round-robin kinds take the
+    // vector at any width, and the word-width arbiters (self-checking,
+    // other policies) forward word 0 to step().
     std::fill(st.req_words.begin(), st.req_words.end(), 0);
     for (std::size_t p = 0; p < st.slots.size(); ++p)
       if (st.slots[p].state != Slot::State::kIdle)
@@ -345,7 +353,7 @@ class Engine {
         strike(r, degrade::StrikeSource::kSelfCheckError);
       }
     } else if (st.arb.rr != nullptr &&
-               std::popcount(st.arb.rr->last_grant_mask()) > 1) {
+               grant_count(st.arb.rr->last_grant_words()) > 1) {
       // Unprotected multi-hot register: several grants at once drive the
       // single-ported datapath.  Whatever is in flight is served to
       // completion and worth nothing — the silent-corruption failure mode

@@ -3,11 +3,13 @@
 // kind (mutual exclusion + bounded waiting from every reachable state),
 // AIG equivalence of the width-unlimited flat chain against the Fig. 5
 // structural generator, behavioral-vs-netlist lockstep under matched
-// SEUs for all three kinds, pinned per-kind grant sequences, fuzzed wide
-// runs (N = 64/256, 10^5 cycles) asserting one-hot grants and no
-// starvation, and synthesis sanity of the scalable generator.
+// SEUs for all three kinds (and for the flat chain past one request
+// word), pinned per-kind grant sequences, fuzzed wide runs (N = 64/256,
+// 10^5 cycles) asserting one-hot grants and no starvation, and synthesis
+// sanity of the scalable generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -494,7 +496,7 @@ TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
   // Access the wide surface through the factory's typed views.
   HierarchicalArbiter* const hier = made.hier;
   PrefixArbiter* const prefix = made.prefix;
-  core::FlatWideArbiter* const flat = made.flat_wide;
+  RoundRobinArbiter* const flat = made.rr;
   ASSERT_TRUE(hier != nullptr || prefix != nullptr || flat != nullptr);
   auto step_wide = [&](const std::vector<std::uint64_t>& req) {
     return made.arbiter->step_wide(req);
@@ -594,33 +596,140 @@ INSTANTIATE_TEST_SUITE_P(
                                  : "");
     });
 
-// ========================================== flat wide == Fig. 5 FSM model
+// ================================= one Fig. 5 model through both entries
 
-TEST(FlatWide, MatchesTheWordWidthFsmAtEveryWidth) {
-  // FlatWideArbiter is the chain's behavioral model with the 64-port cap
-  // lifted; at word widths it must be grant-for-grant identical to the
-  // proven RoundRobinArbiter — through both the word entry (step) and the
-  // vector entry (step_wide) the service engine drives.
-  for (const int n : {1, 2, 7, 33, 64}) {
-    RoundRobinArbiter rr(n);
-    core::FlatWideArbiter fw(n);
-    const std::uint64_t mask = n == 64 ? ~0ull : (1ull << n) - 1;
+TEST(RoundRobinWide, WordAndVectorEntriesAgreeAtEveryWidth) {
+  // The word entry (step) and the vector entry (step_wide) run the same
+  // transition at every width: twins driven one through each stay in the
+  // same state and assert the same grant words.  The word entry sees ports
+  // 0..63 only, so the vector twin gets the same word 0, zeros above it,
+  // and garbage past the width, which it must ignore.
+  for (const int n : {1, 2, 7, 33, 64, 65, 130}) {
+    RoundRobinArbiter word(n);
+    RoundRobinArbiter vec(n);
+    const std::uint64_t mask = n >= 64 ? ~0ull : (1ull << n) - 1;
+    const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
+    const std::uint64_t past_width =
+        n % 64 == 0 ? 0 : ~((1ull << (n % 64)) - 1);
     Rng rng(9000 + static_cast<std::uint64_t>(n));
-    std::vector<std::uint64_t> word(1, 0);
+    std::vector<std::uint64_t> req_words(words, 0);
+    req_words[words - 1] = past_width;
+    int last = -1;
     for (int cyc = 0; cyc < 50'000; ++cyc) {
       // Force empty vectors in regularly so the Ci -> F(i+1) retirement
       // path is exercised at every width.
       const std::uint64_t req =
           cyc % 7 == 3 ? 0 : (rng.next_u64() & mask);
-      const int want = rr.step(req);
-      word[0] = req;
-      const int got = cyc % 2 == 0 ? fw.step(req) : fw.step_wide(word);
-      ASSERT_EQ(got, want) << "n=" << n << " cycle " << cyc;
-      ASSERT_EQ(fw.last_grant_words()[0], rr.last_grant_mask())
+      req_words[0] = req | (words == 1 ? past_width : 0);
+      const int want = word.step(req);
+      ASSERT_EQ(vec.step_wide(req_words), want)
           << "n=" << n << " cycle " << cyc;
+      ASSERT_EQ(vec.last_grant_words(), word.last_grant_words())
+          << "n=" << n << " cycle " << cyc;
+      ASSERT_EQ(vec.state_name(), word.state_name())
+          << "n=" << n << " cycle " << cyc;
+      if (req == 0 && last >= 0) {
+        ASSERT_EQ(word.state_name(), "F" + std::to_string((last + 1) % n))
+            << "n=" << n << " cycle " << cyc << ": C" << last
+            << " must retire to its successor";
+      }
+      last = want;
     }
   }
 }
+
+// ================================= wide flat chain vs its netlist twin
+
+class FlatWideLockstep : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlatWideLockstep, NetlistMatchesRoundRobinArbiterUnderUpsets) {
+  // Past one request word the merged Fig. 5 model must still match the
+  // width-unlimited one-hot netlist grant for grant and register bit for
+  // register bit, from every illegal state the matched SEUs produce.
+  const int n = GetParam();
+  const synth::SynthResult syn = synth::finish_machine_synthesis(
+      core::build_flat_onehot_aig(n), n, 2 * n,
+      core::scalable_reset_bits(ArbiterKind::kFlatFsm, n), {});
+  netlist::Simulator sim(syn.netlist);
+  RoundRobinArbiter beh(n);
+  std::vector<netlist::NetId> req_net, grant_net, state_net;
+  for (int i = 0; i < n; ++i) {
+    req_net.push_back(*syn.netlist.find_net("req" + std::to_string(i)));
+    grant_net.push_back(*syn.netlist.find_net("grant" + std::to_string(i)));
+  }
+  for (int b = 0; b < 2 * n; ++b)
+    state_net.push_back(*syn.netlist.find_net("state" + std::to_string(b)));
+  // The netlist register rendered the way state_name() renders the model.
+  auto netlist_state = [&] {
+    std::string name;
+    for (int b = 0; b < 2 * n; ++b) {
+      if (!sim.get(state_net[static_cast<std::size_t>(b)])) continue;
+      if (!name.empty()) name += '+';
+      name += (b < n ? "F" : "C") + std::to_string(b < n ? b : b - n);
+    }
+    return name.empty() ? std::string("none") : name;
+  };
+
+  const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
+  std::vector<std::uint64_t> req(words, 0);
+  auto set_port = [&](int p) {
+    req[static_cast<std::size_t>(p) >> 6] |=
+        1ull << (static_cast<unsigned>(p) & 63u);
+  };
+  Rng rng(32000 + static_cast<std::uint64_t>(n));
+  for (int cyc = 0; cyc < 900; ++cyc) {
+    if (cyc % 37 == 17) {
+      const int b = static_cast<int>(
+          rng.next_below(2 * static_cast<std::uint64_t>(n)));
+      beh.inject_bit_flip(b);
+      const netlist::NetId net = state_net[static_cast<std::size_t>(b)];
+      sim.poke_register(net, !sim.get(net));
+    }
+    ASSERT_EQ(beh.state_name(), netlist_state()) << "cycle " << cyc;
+    // Dense, one-port, two-port, empty and repeated request vectors, so
+    // scans cross words, wrap, hold and retire.
+    switch (cyc % 5) {
+      case 0:
+        for (std::uint64_t& w : req) w = rng.next_u64();
+        break;
+      case 1:
+      case 2:
+        std::fill(req.begin(), req.end(), 0);
+        for (int k = 0; k < cyc % 5; ++k)
+          set_port(static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(n))));
+        break;
+      case 3:
+        std::fill(req.begin(), req.end(), 0);
+        break;
+      default:
+        break;  // the previous vector again
+    }
+    for (int i = 0; i < n; ++i)
+      sim.set_input(req_net[static_cast<std::size_t>(i)],
+                    ((req[static_cast<std::size_t>(i) >> 6] >>
+                      (static_cast<unsigned>(i) & 63u)) &
+                     1u) != 0);
+    sim.settle();
+    (void)beh.step_wide(req);
+    const std::vector<std::uint64_t>& grants = beh.last_grant_words();
+    for (int i = 0; i < n; ++i)
+      ASSERT_EQ(sim.get(grant_net[static_cast<std::size_t>(i)]),
+                ((grants[static_cast<std::size_t>(i) >> 6] >>
+                  (static_cast<unsigned>(i) & 63u)) &
+                 1u) != 0)
+          << "grant" << i << " diverged at cycle " << cyc;
+    sim.clock();
+  }
+}
+
+const int kFlatWideLockstepWidths[] = {65, 130};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FlatWideLockstep,
+                         ::testing::ValuesIn(kFlatWideLockstepWidths),
+                         [](const auto& pi) {
+                           return "n" + std::to_string(pi.param);
+                         });
 
 // ==================================================== wide observer routing
 
@@ -662,7 +771,7 @@ TEST(WideObserver, EveryEntryPointNotifiesExactlyOnce) {
   EXPECT_EQ(obs.word_calls, 1);
   EXPECT_EQ(obs.last_grant, 5);
 
-  RoundRobinArbiter narrow(8);
+  core::FifoArbiter narrow(8);
   RecordingObserver nobs;
   narrow.set_observer(&nobs);
   EXPECT_EQ(narrow.step_wide({0b100}), 2);
@@ -736,8 +845,8 @@ TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
   SystemArbiterSpec wide_spec;
   wide_spec.kind = ArbiterKind::kFlatFsm;
   auto wide = core::make_system_arbiter(128, wide_spec);
-  ASSERT_NE(wide.flat_wide, nullptr);
-  EXPECT_EQ(wide.rr, nullptr);
+  ASSERT_NE(wide.rr, nullptr) << "one Fig. 5 model at every width";
+  EXPECT_EQ(wide.rr, wide.arbiter.get());
 
   SystemArbiterSpec hier_spec;
   hier_spec.kind = ArbiterKind::kHierarchical;
@@ -796,11 +905,42 @@ TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
   sc_hier.kind = ArbiterKind::kHierarchical;
   EXPECT_THROW((void)core::make_system_arbiter(16, sc_hier), CheckError);
 
-  // rr preemption/hardening have no wide-chain model: refuse, don't drop.
+  // rr preemption is honoured past one request word: a holder at port 70
+  // keeps its grant for max_hold_cycles, then port 127 preempts it.
   core::SystemArbiterSpec held;
   held.rr.max_hold_cycles = 4;
   ASSERT_NE(core::make_system_arbiter(8, held).rr, nullptr);
-  EXPECT_THROW((void)core::make_system_arbiter(128, held), CheckError);
+  auto wide_held = core::make_system_arbiter(128, held);
+  ASSERT_NE(wide_held.rr, nullptr);
+  std::vector<std::uint64_t> req = {0, 1ull << 6};  // port 70 alone
+  EXPECT_EQ(wide_held.arbiter->step_wide(req), 70);
+  req[1] |= 1ull << 63;  // port 127 joins
+  for (int c = 1; c < held.rr.max_hold_cycles; ++c)
+    EXPECT_EQ(wide_held.arbiter->step_wide(req), 70) << "hold cycle " << c;
+  EXPECT_EQ(wide_held.arbiter->step_wide(req), 127) << "holder preempted";
+  EXPECT_EQ(wide_held.rr->last_grant_words(),
+            (std::vector<std::uint64_t>{0, 1ull << 63}));
+
+  // ... and so is hardening: an SEU at bit 200 (C72) next to the holder's
+  // C70 makes the register multi-hot.  Unhardened, both states' scans
+  // grant (70 and 127); hardened, the step recovers to F0 and grants once.
+  for (const bool harden : {false, true}) {
+    core::SystemArbiterSpec hs;
+    hs.rr.harden = harden;
+    auto arb = core::make_system_arbiter(128, hs);
+    ASSERT_NE(arb.rr, nullptr);
+    const std::vector<std::uint64_t> two = {0, (1ull << 6) | (1ull << 63)};
+    ASSERT_EQ(arb.arbiter->step_wide(two), 70);
+    arb.rr->inject_bit_flip(200);
+    EXPECT_EQ(arb.rr->state_name(), "C70+C72");
+    EXPECT_EQ(arb.arbiter->step_wide(two), 70);
+    const std::vector<std::uint64_t>& grants = arb.rr->last_grant_words();
+    EXPECT_EQ(std::popcount(grants[0]) + std::popcount(grants[1]),
+              harden ? 1 : 2);
+    EXPECT_EQ(arb.rr->recoveries(), harden ? 1u : 0u);
+    EXPECT_EQ(arb.rr->state_legal(), harden);
+    EXPECT_EQ(arb.rr->state_name(), harden ? "C70" : "C70+C127");
+  }
 
   // Non-round-robin policies ignore the kind machinery entirely.
   core::SystemArbiterSpec fifo;

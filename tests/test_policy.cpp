@@ -236,11 +236,16 @@ TEST(RoundRobinPreemption, DisabledByDefault) {
 
 TEST(Arbiter, RejectsBadSizes) {
   EXPECT_THROW(RoundRobinArbiter(0), CheckError);
-  EXPECT_THROW(RoundRobinArbiter(65), CheckError);
+  EXPECT_THROW(RoundRobinArbiter(core::kMaxWideInputs + 1), CheckError);
+  // The other policies are word-width.
+  EXPECT_THROW(FifoArbiter(65), CheckError);
   // n = 1 is a degenerate but legal arbiter (a remap can merge every
-  // contender away but one); n = 64 is the lane-sim word width.
+  // contender away but one); n = 64 is the lane-sim word width, and the
+  // Fig. 5 model runs on past it up to kMaxWideInputs.
   EXPECT_NO_THROW(RoundRobinArbiter(1));
   EXPECT_NO_THROW(RoundRobinArbiter(64));
+  EXPECT_NO_THROW(RoundRobinArbiter(65));
+  EXPECT_NO_THROW(RoundRobinArbiter(core::kMaxWideInputs));
 }
 
 TEST(Arbiter, FactoryAndDescribe) {
