@@ -292,6 +292,12 @@ class SystemSimulator::Engine {
   // wiring can never drift between first build and reconfiguration.
   void install_arbiter(const core::ArbiterInstance& inst) {
     const int n = static_cast<int>(inst.ports.size());
+    // Request, grant and force-release lines are one uint64_t word per
+    // arbiter (bit = port), so wider arbiters cannot be represented.
+    RCARB_CHECK(n <= 64, "rcsim arbiters top out at 64 ports (one request "
+                         "word per arbiter); arbiter for " +
+                             inst.resource_name + " has " +
+                             std::to_string(n));
     core::SystemArbiterSpec spec;
     spec.policy = inst.policy;
     // kAuto follows the plan's per-instance resolved kind; an explicit
@@ -558,8 +564,8 @@ class SystemSimulator::Engine {
       ++result_.illegal_fsm_states;
       diagnose(DiagKind::kIllegalFsmState, -1, plan_.arbiters[a].resource, [&] {
         return "arbiter " + plan_.arbiters[a].resource_name +
-               " state register left the one-hot set (state=0x" +
-               std::to_string(rec.hw.rr->state_bits()) + ")";
+               " state register left the one-hot set (state=" +
+               rec.hw.rr->state_name() + ")";
       });
     }
     rec.was_illegal = illegal;
@@ -1764,8 +1770,7 @@ class SystemSimulator::Engine {
       if (arbs_[a].retired) continue;
       if (hw.rr != nullptr && !hw.rr->state_legal())
         detail += "\n  arbiter " + plan_.arbiters[a].resource_name +
-                  " register illegal (state=0x" +
-                  std::to_string(hw.rr->state_bits()) + ")";
+                  " register illegal (state=" + hw.rr->state_name() + ")";
       else if (hw.sc != nullptr && hw.sc->error())
         detail += "\n  arbiter " + plan_.arbiters[a].resource_name +
                   " self-check error asserted";

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/insertion.hpp"
@@ -269,17 +271,19 @@ struct ContentionFixture {
   TaskGraph g{"contend"};
   Binding binding;
 
-  explicit ContentionFixture(int accesses) {
+  /// `tasks` tasks on one PE, alternating between two segments of one
+  /// bank: the bank arbiter gets one port per task.
+  explicit ContentionFixture(int accesses, int tasks = 2) {
     g.add_segment("s0", 64, 16);
     g.add_segment("s1", 64, 16);
-    for (int t = 0; t < 2; ++t) {
+    for (int t = 0; t < tasks; ++t) {
       Program p;
       p.load_imm(0, 0);
-      for (int i = 0; i < accesses; ++i) p.store(t, 0, 0, i % 16);
+      for (int i = 0; i < accesses; ++i) p.store(t % 2, 0, 0, i % 16);
       p.halt();
       g.add_task("t" + std::to_string(t), p, 1);
     }
-    binding.task_to_pe.assign(2, 0);
+    binding.task_to_pe.assign(static_cast<std::size_t>(tasks), 0);
     binding.segment_to_bank.assign(g.num_segments(), 0);
     binding.channel_to_phys.assign(g.num_channels(), -1);
     binding.num_banks = 1;
@@ -320,6 +324,89 @@ TEST(FaultSim, SeuDeadlocksUnhardenedButHardenedRecovers) {
   EXPECT_GE(r_hard.count(DiagKind::kFsmRecovery), 1u);
   EXPECT_EQ(r_hard.bank_conflicts, 0u);
   EXPECT_TRUE(r_hard.tasks[0].ran && r_hard.tasks[1].ran);
+}
+
+std::vector<TaskId> first_tasks(int count) {
+  std::vector<TaskId> ids(static_cast<std::size_t>(count));
+  for (std::size_t t = 0; t < ids.size(); ++t) ids[t] = t;
+  return ids;
+}
+
+TEST(FaultSim, IllegalRegisterDiagnosticsNameTheHotStatesAtAnyWidth) {
+  // Both illegal-register messages (the on-entry diagnostic and the stall
+  // dump) name the register's hot states, including past 32 ports where
+  // the register no longer packs into one 64-bit word.
+  for (const int tasks : {20, 40}) {
+    ContentionFixture fx(6, tasks);
+    const InsertionResult ins = core::insert_arbitration(fx.g, fx.binding, {});
+    ASSERT_EQ(ins.plan.arbiters[0].ports.size(),
+              static_cast<std::size_t>(tasks));
+    // Bit 4 sets F4 beside F0 (multi-hot); bit 0 clears F0 (zero-hot,
+    // the arbiter is dead and the run stalls).
+    for (const auto& [bit, state] :
+         {std::pair<int, std::string>{4, "F0+F4"}, {0, "none"}}) {
+      fault::FaultEvent seu;
+      seu.kind = fault::FaultKind::kFsmBitFlip;
+      seu.cycle = 0;
+      seu.arbiter = 0;
+      seu.bit = bit;
+      SimOptions soft;
+      soft.strict = false;
+      soft.harden = false;
+      soft.diag_detail = true;
+      soft.no_progress_window = 500;
+      soft.faults = {seu};
+      SystemSimulator sim(ins.graph, fx.binding, ins.plan, soft);
+      const SimResult r = sim.run(first_tasks(tasks));
+      bool seen = false;
+      for (const auto& d : r.diagnostics) {
+        if (d.kind != DiagKind::kIllegalFsmState) continue;
+        EXPECT_NE(d.detail.find("(state=" + state + ")"), std::string::npos)
+            << tasks << " ports: " << d.detail;
+        seen = true;
+        break;
+      }
+      EXPECT_TRUE(seen) << tasks << " ports, bit " << bit;
+      if (bit != 0) continue;
+      ASSERT_EQ(r.count(DiagKind::kNoProgress), 1u) << tasks << " ports";
+      for (const auto& d : r.diagnostics) {
+        if (d.kind != DiagKind::kNoProgress) continue;
+        EXPECT_NE(d.detail.find("register illegal (state=none)"),
+                  std::string::npos)
+            << d.detail;
+      }
+    }
+  }
+}
+
+TEST(FaultSim, RefusesArbitersWiderThan64Ports) {
+  // rcsim carries each arbiter's request, grant and force-release lines in
+  // one 64-bit word, so a 65th port cannot be represented: refuse the plan
+  // instead of shifting past the word.
+  for (const int tasks : {64, 70}) {
+    ContentionFixture fx(2, tasks);
+    const InsertionResult ins = core::insert_arbitration(fx.g, fx.binding, {});
+    ASSERT_EQ(ins.plan.arbiters[0].ports.size(),
+              static_cast<std::size_t>(tasks));
+    auto run = [&] {
+      SystemSimulator sim(ins.graph, fx.binding, ins.plan, SimOptions{});
+      return sim.run(first_tasks(tasks));
+    };
+    if (tasks <= 64) {
+      EXPECT_FALSE(run().deadlocked);
+      continue;
+    }
+    // Unchecked, port 64's request bit would alias port 0's and surface
+    // later as some other failure, so the refusal must name the limit.
+    try {
+      (void)run();
+      ADD_FAILURE() << "a " << tasks << "-port arbiter was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("top out at 64 ports"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FaultSim, WatchdogDetectsAndHardenedReleasesHungGrant) {
