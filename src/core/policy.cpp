@@ -114,10 +114,7 @@ int RoundRobinArbiter::step_wide_impl(
     ++recoveries_;
   }
 
-  // The one legal state (index, in_c).
-  const std::size_t c_base = words() * 64;
-  const bool in_c = hot_bit_ >= c_base;
-  const int index = static_cast<int>(hot_bit_ - (in_c ? c_base : 0));
+  const auto [index, in_c] = state_of(hot_bit_);
 
   // Future-work preemption: a saturated holder loses its turn when someone
   // else is waiting; the scan then starts past it (and reaches the holder
@@ -177,10 +174,9 @@ int RoundRobinArbiter::step_multi_hot(
   // netlist.
   std::fill(next_reg_.begin(), next_reg_.end(), 0);
   for (std::size_t w = 0; w < reg_.size(); ++w) {
-    const bool in_c = w >= words();
     for (std::uint64_t bits = reg_[w]; bits != 0; bits &= bits - 1) {
-      const int i = static_cast<int>((w - (in_c ? words() : 0)) * 64) +
-                    std::countr_zero(bits);
+      const auto [i, in_c] =
+          state_of(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
       const int j = scan(requests, i);
       if (j >= 0) {
         set_bit(next_reg_, state_bit(j, true));
@@ -213,12 +209,11 @@ std::string RoundRobinArbiter::describe() const {
 std::string RoundRobinArbiter::state_name() const {
   std::string name;
   for (std::size_t w = 0; w < reg_.size(); ++w) {
-    const bool in_c = w >= words();
     for (std::uint64_t bits = reg_[w]; bits != 0; bits &= bits - 1) {
+      const auto [i, in_c] =
+          state_of(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
       if (!name.empty()) name += '+';
-      name += (in_c ? "C" : "F") +
-              std::to_string((w - (in_c ? words() : 0)) * 64 +
-                             static_cast<std::size_t>(std::countr_zero(bits)));
+      name += (in_c ? "C" : "F") + std::to_string(i);
     }
   }
   return name.empty() ? "none" : name;

@@ -232,9 +232,18 @@ class RoundRobinArbiter final : public WideArbiter {
   /// Re-derives hot_count_/hot_bit_ after an arbitrary register change.
   void recount();
   [[nodiscard]] int next_port(int i) const { return i + 1 == n_ ? 0 : i + 1; }
-  /// Register bit of state Fi (in_c false) or Ci, as an index into reg_.
+  /// Register bit of state Fi (in_c false) or Ci, as an index into reg_,
+  /// and back.
   [[nodiscard]] std::size_t state_bit(int i, bool in_c) const {
     return (in_c ? words() * 64 : 0) + static_cast<std::size_t>(i);
+  }
+  struct State {
+    int index;
+    bool in_c;
+  };
+  [[nodiscard]] State state_of(std::size_t bit) const {
+    const bool in_c = bit >= words() * 64;
+    return {static_cast<int>(bit - (in_c ? words() * 64 : 0)), in_c};
   }
 
   RoundRobinOptions options_;
