@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Diffs the paper-style tables the rcsim benches print against the goldens
-# in this directory.  The report/trace path lines are left out; everything
-# else on stdout is deterministic and must match byte for byte.
+# Diffs the paper-style tables the rcsim, fault, service and synthesis
+# benches print against the goldens in this directory.  The report/trace
+# path lines are left out; everything else on stdout is deterministic and
+# must match byte for byte.
 #
 #   bench/golden/check.sh <build-dir>            # diff, exit 1 on mismatch
 #   bench/golden/check.sh <build-dir> --update   # rewrite the goldens
@@ -12,7 +13,8 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 status=0
 for b in fig8_overhead fft_section5 global_schedule fault_campaign \
-         degradation service_load service_faults; do
+         degradation service_load service_faults fig6_area fig7_speed \
+         encoding_ablation policy_ablation arbiter_scaling; do
   RCARB_BENCH_DIR="$out" "$build/bench/bench_$b" --benchmark_filter=NONE |
     grep -v -e '^bench report: ' -e '^chrome trace: ' >"$out/bench_$b.txt"
   if [[ "${2:-}" == --update ]]; then
