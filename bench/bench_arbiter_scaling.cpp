@@ -24,7 +24,7 @@ namespace {
 
 using rcarb::core::ArbiterKind;
 using rcarb::core::GeneratedArbiter;
-using rcarb::core::generate_scalable;
+using rcarb::core::generate_arbiter;
 
 constexpr ArbiterKind kKinds[] = {ArbiterKind::kFlatFsm,
                                   ArbiterKind::kHierarchical,
@@ -65,7 +65,8 @@ void print_scaling(rcarb::obs::BenchReporter& rep) {
       grid.size(),
       [&](std::size_t i) {
         Cell cell = grid[i];
-        const GeneratedArbiter g = generate_scalable(cell.kind, cell.n);
+        const GeneratedArbiter g =
+            generate_arbiter({.n = cell.n, .kind = cell.kind});
         cell.clbs = g.chars.clbs;
         cell.luts = g.chars.luts;
         cell.ffs = g.chars.ffs;
@@ -153,7 +154,7 @@ void print_scaling(rcarb::obs::BenchReporter& rep) {
 void BM_GenerateHierarchical(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto g = generate_scalable(ArbiterKind::kHierarchical, n);
+    auto g = generate_arbiter({.n = n, .kind = ArbiterKind::kHierarchical});
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }
@@ -162,7 +163,7 @@ BENCHMARK(BM_GenerateHierarchical)->Arg(64)->Arg(256);
 void BM_GeneratePrefix(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto g = generate_scalable(ArbiterKind::kPrefix, n);
+    auto g = generate_arbiter({.n = n, .kind = ArbiterKind::kPrefix});
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }

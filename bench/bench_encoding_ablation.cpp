@@ -22,7 +22,6 @@ namespace {
 using namespace rcarb;
 using core::GeneratorMode;
 using synth::Encoding;
-using synth::FlowKind;
 
 /// Characterization numbers one sweep cell contributes (the generated
 /// netlists themselves are discarded — only the table/report numbers
@@ -45,15 +44,13 @@ void print_encodings(obs::BenchReporter& rep) {
       [&](std::size_t i) {
         const int n = sizes[i];
         EncodingCell cell;
-        cell.onehot = core::generate_round_robin_cached(
-                          n, FlowKind::kExpressLike, Encoding::kOneHot)
-                          .chars;
-        cell.compact = core::generate_round_robin_cached(
-                           n, FlowKind::kExpressLike, Encoding::kCompact)
+        cell.onehot = core::generate_arbiter_cached({.n = n}).chars;
+        cell.compact = core::generate_arbiter_cached(
+                           {.n = n, .encoding = Encoding::kCompact})
                            .chars;
-        cell.gray = core::generate_round_robin_cached(
-                        n, FlowKind::kExpressLike, Encoding::kGray)
-                        .chars;
+        cell.gray =
+            core::generate_arbiter_cached({.n = n, .encoding = Encoding::kGray})
+                .chars;
         return cell;
       },
       [&](std::size_t i, EncodingCell cell) {
@@ -93,18 +90,10 @@ void print_encodings(obs::BenchReporter& rep) {
       [&](std::size_t i) {
         const int n = sizes[i];
         ModeCell cell;
-        cell.structural =
-            core::generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                              Encoding::kOneHot,
-                                              timing::xc4000e_speed3(),
-                                              GeneratorMode::kStructural)
-                .chars;
-        cell.behavioral =
-            core::generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                              Encoding::kOneHot,
-                                              timing::xc4000e_speed3(),
-                                              GeneratorMode::kBehavioral)
-                .chars;
+        cell.structural = core::generate_arbiter_cached({.n = n}).chars;
+        cell.behavioral = core::generate_arbiter_cached(
+                              {.n = n, .mode = GeneratorMode::kBehavioral})
+                              .chars;
         return cell;
       },
       [&](std::size_t i, ModeCell cell) {
@@ -139,9 +128,7 @@ void BM_StructuralVsBehavioral(benchmark::State& state) {
                                         : GeneratorMode::kBehavioral;
   for (auto _ : state) {
     // Deliberately uncached: this benchmark measures synthesis cost.
-    auto g = core::generate_round_robin(6, FlowKind::kExpressLike,
-                                        Encoding::kOneHot,
-                                        timing::xc4000e_speed3(), mode);
+    auto g = core::generate_arbiter({.n = 6, .mode = mode});
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }

@@ -303,8 +303,11 @@ void BM_LaneReplicaCampaign(benchmark::State& state) {
     if (ins.plan.arbiters[a].ports.size() == 3) bank = a;
   const std::vector<std::uint64_t>& trace = res.request_trace[bank];
 
-  const auto& rr3 = core::synthesize_round_robin_cached(
-      3, synth::Encoding::kOneHot, /*harden=*/true);
+  const auto& rr3 = core::generate_arbiter_cached(
+                         {.n = 3,
+                          .mode = core::GeneratorMode::kBehavioral,
+                          .harden = true})
+                         .synth;
   fault::ReplicaBatchSpec spec;
   spec.netlist = &rr3.netlist;
   for (int i = 0; i < 3; ++i) {

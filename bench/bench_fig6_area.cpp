@@ -15,9 +15,8 @@
 namespace {
 
 using rcarb::core::CheckMode;
-using rcarb::core::generate_round_robin;
-using rcarb::core::generate_round_robin_cached;
-using rcarb::core::generate_self_checking_cached;
+using rcarb::core::generate_arbiter;
+using rcarb::core::generate_arbiter_cached;
 using rcarb::synth::Encoding;
 using rcarb::synth::FlowKind;
 
@@ -29,18 +28,16 @@ void print_fig6(rcarb::obs::BenchReporter& rep) {
                     "Synplify one-hot", "DMR 1-hot", "TMR 1-hot",
                     "LUTs (Expr 1-hot)", "FFs (Expr 1-hot)"});
   for (int n = 2; n <= 10; ++n) {
-    const auto& eo = generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                                 Encoding::kOneHot);
-    const auto& ec = generate_round_robin_cached(n, FlowKind::kExpressLike,
-                                                 Encoding::kCompact);
-    const auto& so = generate_round_robin_cached(n, FlowKind::kSynplifyLike,
-                                                 Encoding::kOneHot);
+    const auto& eo = generate_arbiter_cached({.n = n});
+    const auto& ec =
+        generate_arbiter_cached({.n = n, .encoding = Encoding::kCompact});
+    const auto& so =
+        generate_arbiter_cached({.n = n, .flow = FlowKind::kSynplifyLike});
     // The self-checking variants sit beside the plain series so the
     // degradation campaigns' redundancy is priced on the same axis.
-    const auto& dm = generate_self_checking_cached(n, CheckMode::kDuplicate,
-                                                   Encoding::kOneHot);
-    const auto& tm = generate_self_checking_cached(n, CheckMode::kTmr,
-                                                   Encoding::kOneHot);
+    const auto& dm =
+        generate_arbiter_cached({.n = n, .check = CheckMode::kDuplicate});
+    const auto& tm = generate_arbiter_cached({.n = n, .check = CheckMode::kTmr});
     table.add_row({std::to_string(n), std::to_string(eo.chars.clbs),
                    std::to_string(ec.chars.clbs),
                    std::to_string(so.chars.clbs),
@@ -69,8 +66,7 @@ void print_fig6(rcarb::obs::BenchReporter& rep) {
 void BM_GenerateArbiter(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto g = generate_round_robin(n, FlowKind::kExpressLike,
-                                  Encoding::kOneHot);
+    auto g = generate_arbiter({.n = n});
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }
@@ -79,8 +75,7 @@ BENCHMARK(BM_GenerateArbiter)->DenseRange(2, 10, 2);
 void BM_GenerateArbiterCompact(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto g = generate_round_robin(n, FlowKind::kExpressLike,
-                                  Encoding::kCompact);
+    auto g = generate_arbiter({.n = n, .encoding = Encoding::kCompact});
     benchmark::DoNotOptimize(g.chars.clbs);
   }
 }

@@ -13,8 +13,6 @@
 
 #include "core/generator.hpp"
 #include "core/policy.hpp"
-#include "core/policy_fsms.hpp"
-#include "core/rr_fsm.hpp"
 #include "obs/bench_report.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -70,30 +68,20 @@ FairnessResult storm(Policy policy, int n, int hold, int cycles,
 /// the paper's Sec. 4: "the required hardware made the arbiter either too
 /// slow or too large" for everything but round-robin.
 std::string synthesized_cost(Policy policy, int n) {
-  const auto flow = synth::FlowKind::kExpressLike;
-  const auto onehot = synth::Encoding::kOneHot;
-  auto fmt = [](const core::GeneratedArbiter& g) {
-    return std::to_string(g.chars.clbs) + " CLBs @ " +
-           fmt_fixed(g.chars.fmax_mhz, 1) + " MHz";
-  };
-  switch (policy) {
-    case Policy::kRoundRobin:
-      return fmt(core::generate_round_robin_cached(n, flow, onehot));
-    case Policy::kPriority:
-      return fmt(core::characterize_fsm(core::build_priority_fsm(n), n, flow,
-                                        onehot));
-    case Policy::kRandom:
-      if (n > 6) return "(LFSR machine intractable beyond N=6)";
-      return fmt(core::characterize_fsm(core::build_lfsr_random_fsm(n), n,
-                                        flow, onehot));
-    case Policy::kFifo: {
-      if (n > 4) return "(queue state space explodes beyond N=4)";
-      const auto enc = n <= 3 ? onehot : synth::Encoding::kCompact;
-      return fmt(
-          core::characterize_fsm(core::build_fifo_fsm(n), n, flow, enc));
-    }
+  // Round-robin is the structural Fig. 5 chain; the rejected policies only
+  // exist as FSMs, so they go through two-level (behavioral) synthesis.
+  core::ArbiterSpec spec{.n = n, .policy = policy};
+  if (policy != Policy::kRoundRobin)
+    spec.mode = core::GeneratorMode::kBehavioral;
+  if (policy == Policy::kRandom && n > 6)
+    return "(LFSR machine intractable beyond N=6)";
+  if (policy == Policy::kFifo) {
+    if (n > 4) return "(queue state space explodes beyond N=4)";
+    if (n > 3) spec.encoding = synth::Encoding::kCompact;
   }
-  return "?";
+  const core::GeneratedArbiter& g = core::generate_arbiter_cached(spec);
+  return std::to_string(g.chars.clbs) + " CLBs @ " +
+         fmt_fixed(g.chars.fmax_mhz, 1) + " MHz";
 }
 
 void print_ablation(obs::BenchReporter& rep) {

@@ -226,12 +226,12 @@ int report_throughput(obs::BenchReporter& rep) {
   // Campaign-shaped hardened arbiter (the fault campaign's bank arbiter is
   // a hardened 3-port round-robin) plus two structural sizes for scale.
   const auto& hardened =
-      core::synthesize_round_robin_cached(3, synth::Encoding::kOneHot,
-                                          /*harden=*/true);
-  const auto& n8 = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
-  const auto& n16 = core::generate_round_robin_cached(
-      16, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+      core::generate_arbiter_cached({.n = 3,
+                                     .mode = core::GeneratorMode::kBehavioral,
+                                     .harden = true})
+          .synth;
+  const auto& n8 = core::generate_arbiter_cached({.n = 8});
+  const auto& n16 = core::generate_arbiter_cached({.n = 16});
   const std::vector<Config> configs = {
       {"n3_hardened", &hardened.netlist, 3},
       {"n8_structural", &n8.synth.netlist, 8},
@@ -312,8 +312,11 @@ int report_throughput(obs::BenchReporter& rep) {
 }
 
 void BM_ScalarReplicaBatch(benchmark::State& state) {
-  const auto& g = core::synthesize_round_robin_cached(
-      static_cast<int>(state.range(0)), synth::Encoding::kOneHot, true);
+  const auto& g = core::generate_arbiter_cached(
+                        {.n = static_cast<int>(state.range(0)),
+                         .mode = core::GeneratorMode::kBehavioral,
+                         .harden = true})
+                        .synth;
   const fault::ReplicaBatchSpec spec = make_spec(
       g.netlist, static_cast<int>(state.range(0)), kSeed, kScalarReplicas);
   Simulator sim(g.netlist);
@@ -331,8 +334,11 @@ BENCHMARK(BM_ScalarReplicaBatch)->Arg(3);
 
 /// One grid cell as a google-benchmark: args are (ports, lanes, mode).
 void BM_WideReplicaBatch(benchmark::State& state) {
-  const auto& g = core::synthesize_round_robin_cached(
-      static_cast<int>(state.range(0)), synth::Encoding::kOneHot, true);
+  const auto& g = core::generate_arbiter_cached(
+                        {.n = static_cast<int>(state.range(0)),
+                         .mode = core::GeneratorMode::kBehavioral,
+                         .harden = true})
+                        .synth;
   const auto lanes = static_cast<std::size_t>(state.range(1));
   const fault::ReplicaBatchSpec spec =
       make_spec(g.netlist, static_cast<int>(state.range(0)), kSeed, lanes);

@@ -21,8 +21,7 @@ const char* to_string(ArbiterChoice c) {
   return "?";
 }
 
-ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz, int arity,
-                                const timing::DelayModel& model) {
+ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz, int arity) {
   RCARB_CHECK(n >= 1 && n <= kMaxWideInputs,
               "arbiter size must be in [1, kMaxWideInputs]");
   RCARB_CHECK(timing_budget_mhz > 0.0,
@@ -35,7 +34,9 @@ ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz, int arity,
   double fastest_fmax = -1.0;
   for (std::size_t k = first; k < candidates.size(); ++k) {
     const double fmax =
-        generate_scalable_cached(candidates[k], n, arity, model).chars.fmax_mhz;
+        generate_arbiter_cached(
+            {.n = n, .kind = candidates[k], .arity = arity})
+            .chars.fmax_mhz;
     if (fmax >= timing_budget_mhz) return candidates[k];
     if (fmax > fastest_fmax) {
       fastest_fmax = fmax;
@@ -46,11 +47,10 @@ ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz, int arity,
 }
 
 ArbiterKind resolve_arbiter_choice(ArbiterChoice choice, int n,
-                                   double timing_budget_mhz, int arity,
-                                   const timing::DelayModel& model) {
+                                   double timing_budget_mhz, int arity) {
   switch (choice) {
     case ArbiterChoice::kAuto:
-      return select_arbiter_kind(n, timing_budget_mhz, arity, model);
+      return select_arbiter_kind(n, timing_budget_mhz, arity);
     case ArbiterChoice::kFlatFsm:
       return ArbiterKind::kFlatFsm;
     case ArbiterChoice::kHierarchical:

@@ -1,9 +1,9 @@
 // Arbiter kind selection and the single system-layer arbiter factory.
 //
-// PR 7 left three synthesizable round-robin structures (core/hier.hpp)
-// with pre-characterized area/fmax (generate_scalable_cached); the system
-// layers (src/service, src/rcsim) each hand-rolled flat-only construction.
-// This module is the one audited construction path both layers share:
+// Three synthesizable round-robin structures (core/hier.hpp) carry
+// pre-characterized area/fmax from the synthesis memo
+// (generate_arbiter_cached).  This module is the one audited construction
+// path the system layers (src/service, src/rcsim) share:
 //
 //  * ArbiterChoice: what an options struct asks for — an explicit kind or
 //    kAuto, which resolves from the port count and an fmax budget using
@@ -21,14 +21,13 @@
 #include "core/hier.hpp"
 #include "core/policy.hpp"
 #include "core/selfcheck.hpp"
-#include "timing/delay_model.hpp"
 
 namespace rcarb::core {
 
 /// What an options struct requests: a concrete structure, or kAuto to let
 /// select_arbiter_kind pick from the port count and a timing budget.
 enum class ArbiterChoice : std::uint8_t {
-  kAuto,          // resolve from (n, fmax budget) via the prechar cache
+  kAuto,          // resolve from (n, fmax budget) via the synthesis memo
   kFlatFsm,       // Fig. 5 chain (RoundRobinArbiter at every width)
   kHierarchical,  // tree-of-arbiters
   kPrefix,        // Kogge-Stone thermometer-mask
@@ -37,21 +36,20 @@ enum class ArbiterChoice : std::uint8_t {
 [[nodiscard]] const char* to_string(ArbiterChoice c);
 
 /// Picks the cheapest structure whose pre-characterized fmax meets
-/// `timing_budget_mhz` (> 0 required), consulting generate_scalable_cached
+/// `timing_budget_mhz` (> 0 required), consulting generate_arbiter_cached
 /// in area order: flat, then hierarchical, then prefix.  Flat candidates
 /// are only considered up to 64 ports — past that the chain's fmax decays
 /// ~1/N and synthesizing it just to rule it out would dominate the caller.
 /// When nothing meets the budget the fastest structure wins.
-[[nodiscard]] ArbiterKind select_arbiter_kind(
-    int n, double timing_budget_mhz, int arity = 4,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
+[[nodiscard]] ArbiterKind select_arbiter_kind(int n, double timing_budget_mhz,
+                                             int arity = 4);
 
 /// Maps a choice to a concrete kind: explicit choices pass through (the
 /// budget is ignored); kAuto runs select_arbiter_kind and therefore
 /// requires timing_budget_mhz > 0.
-[[nodiscard]] ArbiterKind resolve_arbiter_choice(
-    ArbiterChoice choice, int n, double timing_budget_mhz, int arity = 4,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
+[[nodiscard]] ArbiterKind resolve_arbiter_choice(ArbiterChoice choice, int n,
+                                                double timing_budget_mhz,
+                                                int arity = 4);
 
 /// Everything a system layer configures about one arbiter instance.  The
 /// kind must already be resolved (no kAuto here): resolution happens once

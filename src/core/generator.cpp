@@ -4,9 +4,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
+#include <utility>
+#include <vector>
 
-#include "core/policy.hpp"
+#include "core/policy_fsms.hpp"
 #include "core/rr_fsm.hpp"
 #include "core/structural.hpp"
 #include "support/check.hpp"
@@ -23,294 +24,203 @@ const char* to_string(GeneratorMode m) {
   return "?";
 }
 
-GeneratedArbiter generate_round_robin(int n, synth::FlowKind flow,
-                                      synth::Encoding encoding,
-                                      const timing::DelayModel& model,
-                                      GeneratorMode mode) {
-  GeneratedArbiter out;
+ArbiterSpec canonical(ArbiterSpec spec) {
+  RCARB_CHECK(spec.n >= 1 && spec.n <= kMaxWideInputs,
+              "arbiter size must be in [1, kMaxWideInputs]");
+  const bool flat = spec.kind == ArbiterKind::kFlatFsm;
+  const bool structural = spec.mode == GeneratorMode::kStructural;
+  const bool express = spec.flow == synth::FlowKind::kExpressLike;
+  RCARB_CHECK(spec.policy == Policy::kRoundRobin || (flat && !structural),
+              "only round-robin has a structural generator; other policies "
+              "synthesize in kBehavioral mode");
+  RCARB_CHECK(flat || (structural && express &&
+                       spec.encoding == synth::Encoding::kOneHot),
+              "hierarchical and prefix arbiters are structural, Express-like "
+              "and one-hot only");
+  RCARB_CHECK(spec.check == CheckMode::kNone ||
+                  (flat && structural && express &&
+                   spec.policy == Policy::kRoundRobin),
+              "self-checking copies wrap the structural Express-like Fig. 5 "
+              "round-robin core only");
+  RCARB_CHECK(!spec.harden || !structural,
+              "hardening is an FSM-elaboration option: kBehavioral only");
+  if (spec.kind == ArbiterKind::kHierarchical)
+    RCARB_CHECK(spec.arity >= 2 && spec.arity <= 4,
+                "tree arity must be in [2, 4]");
+  else
+    spec.arity = 0;
   // The paper notes Synplify applied one-hot no matter what the VHDL asked.
-  const synth::Encoding used = flow == synth::FlowKind::kSynplifyLike
-                                   ? synth::Encoding::kOneHot
-                                   : encoding;
-  if (mode == GeneratorMode::kStructural) {
-    const synth::Fsm fsm = build_round_robin_fsm(n);
-    const synth::StateCodes codes = synth::encode_states(fsm, used);
-    const aig::Aig comb = build_round_robin_aig(n, codes);
-    synth::MapOptions map_options;
-    map_options.objective = flow == synth::FlowKind::kSynplifyLike
-                                ? synth::MapObjective::kArea
-                                : synth::MapObjective::kDepth;
-    out.synth = synth::finish_machine_synthesis(
-        comb, /*num_inputs=*/n, codes.num_bits,
-        codes.code[fsm.reset_state()], map_options);
-    out.synth.used_encoding = used;
-  } else {
-    synth::FlowOptions options;
-    options.kind = flow;
-    options.encoding = encoding;
-    out.synth = synth::synthesize_fsm(build_round_robin_fsm(n), options);
-  }
-  out.timing = timing::analyze(out.synth.netlist, model);
-
-  out.chars.n = n;
-  out.chars.encoding = out.synth.used_encoding;
-  out.chars.flow = flow;
-  out.chars.clbs = out.synth.clb.clbs;
-  out.chars.luts = out.synth.clb.luts;
-  out.chars.ffs = out.synth.clb.ffs;
-  out.chars.lut_depth = out.synth.map.depth;
-  out.chars.fmax_mhz = out.timing.fmax_mhz;
-  out.chars.aig_ands = out.synth.aig_ands;
-  out.chars.overhead_cycles = kProtocolOverheadCycles;
-  return out;
-}
-
-GeneratedArbiter generate_self_checking(int n, CheckMode mode,
-                                        synth::Encoding encoding,
-                                        const timing::DelayModel& model) {
-  RCARB_CHECK(mode != CheckMode::kNone,
-              "generate_self_checking needs kDuplicate or kTmr");
-  const synth::Fsm fsm = build_round_robin_fsm(n);
-  const synth::StateCodes codes = synth::encode_states(fsm, encoding);
-  const std::uint64_t reset = codes.code[fsm.reset_state()];
-  const int copies = mode == CheckMode::kDuplicate ? 2 : 3;
-  const aig::Aig comb = build_self_checking_aig(n, codes, mode, reset);
-
-  // Every copy's register bank resets to the same per-copy code,
-  // concatenated copy-major to match the AIG's state-input order.
-  std::uint64_t full_reset = 0;
-  for (int c = 0; c < copies; ++c)
-    full_reset |= reset << (c * codes.num_bits);
-
-  synth::MapOptions map_options;
-  map_options.objective = synth::MapObjective::kDepth;
-
-  GeneratedArbiter out;
-  out.synth = synth::finish_machine_synthesis(
-      comb, /*num_inputs=*/n, copies * codes.num_bits, full_reset,
-      map_options);
-  out.synth.used_encoding = encoding;
-  out.timing = timing::analyze(out.synth.netlist, model);
-
-  out.chars.n = n;
-  out.chars.encoding = encoding;
-  out.chars.flow = synth::FlowKind::kExpressLike;
-  out.chars.clbs = out.synth.clb.clbs;
-  out.chars.luts = out.synth.clb.luts;
-  out.chars.ffs = out.synth.clb.ffs;
-  out.chars.lut_depth = out.synth.map.depth;
-  out.chars.fmax_mhz = out.timing.fmax_mhz;
-  out.chars.aig_ands = out.synth.aig_ands;
-  out.chars.overhead_cycles = kProtocolOverheadCycles;
-  return out;
-}
-
-GeneratedArbiter generate_scalable(ArbiterKind kind, int n, int arity,
-                                   const timing::DelayModel& model) {
-  aig::Aig comb;
-  int num_state_bits = 0;
-  switch (kind) {
-    case ArbiterKind::kFlatFsm:
-      comb = build_flat_onehot_aig(n);
-      num_state_bits = 2 * n;
-      break;
-    case ArbiterKind::kHierarchical:
-      comb = build_hierarchical_aig(n, arity);
-      num_state_bits = make_hier_shape(n, arity).num_state_bits();
-      break;
-    case ArbiterKind::kPrefix:
-      comb = build_prefix_aig(n);
-      num_state_bits = n;
-      break;
-  }
-  synth::MapOptions map_options;
-  map_options.objective = synth::MapObjective::kDepth;
-
-  GeneratedArbiter out;
-  out.synth = synth::finish_machine_synthesis(
-      comb, /*num_inputs=*/n, num_state_bits,
-      scalable_reset_bits(kind, n, arity), map_options);
-  out.synth.used_encoding = synth::Encoding::kOneHot;
-  out.timing = timing::analyze(out.synth.netlist, model);
-
-  out.chars.n = n;
-  out.chars.encoding = synth::Encoding::kOneHot;
-  out.chars.flow = synth::FlowKind::kExpressLike;
-  out.chars.clbs = out.synth.clb.clbs;
-  out.chars.luts = out.synth.clb.luts;
-  out.chars.ffs = out.synth.clb.ffs;
-  out.chars.lut_depth = out.synth.map.depth;
-  out.chars.fmax_mhz = out.timing.fmax_mhz;
-  out.chars.aig_ands = out.synth.aig_ands;
-  out.chars.overhead_cycles = kProtocolOverheadCycles;
-  return out;
-}
-
-GeneratedArbiter characterize_fsm(const synth::Fsm& fsm, int n,
-                                  synth::FlowKind flow,
-                                  synth::Encoding encoding,
-                                  const timing::DelayModel& model) {
-  GeneratedArbiter out;
-  synth::FlowOptions options;
-  options.kind = flow;
-  options.encoding = encoding;
-  out.synth = synth::synthesize_fsm(fsm, options);
-  out.timing = timing::analyze(out.synth.netlist, model);
-  out.chars.n = n;
-  out.chars.encoding = out.synth.used_encoding;
-  out.chars.flow = flow;
-  out.chars.clbs = out.synth.clb.clbs;
-  out.chars.luts = out.synth.clb.luts;
-  out.chars.ffs = out.synth.clb.ffs;
-  out.chars.lut_depth = out.synth.map.depth;
-  out.chars.fmax_mhz = out.timing.fmax_mhz;
-  out.chars.aig_ands = out.synth.aig_ands;
-  out.chars.overhead_cycles = kProtocolOverheadCycles;
-  return out;
+  if (spec.flow == synth::FlowKind::kSynplifyLike)
+    spec.encoding = synth::Encoding::kOneHot;
+  return spec;
 }
 
 namespace {
 
-// Process-wide synthesis memo.  The mutex only guards the key->entry maps;
-// each entry's synthesis runs under its own std::once_flag, so two sweep
-// workers asking for *different* configurations synthesize concurrently
-// while two workers asking for the *same* one share a single run (the
-// second blocks in call_once until the first finishes).  Entries are
-// heap-allocated so references stay stable as the maps rehash/rebalance.
-struct MemoCounters {
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-};
-
-MemoCounters& memo_counters() {
-  static MemoCounters counters;
-  return counters;
+synth::Fsm policy_fsm(Policy policy, int n) {
+  switch (policy) {
+    case Policy::kRoundRobin:
+      return build_round_robin_fsm(n);
+    case Policy::kFifo:
+      return build_fifo_fsm(n);
+    case Policy::kPriority:
+      return build_priority_fsm(n);
+    case Policy::kRandom:
+      return build_lfsr_random_fsm(n);
+  }
+  RCARB_CHECK(false, "unknown policy");
+  return build_round_robin_fsm(n);
 }
 
-template <typename Key, typename Value>
+// Mapping, packing and the register loop for a canonical structural spec.
+synth::SynthResult synthesize_structural(const ArbiterSpec& spec) {
+  const int n = spec.n;
+  aig::Aig comb;
+  int num_state_bits = 0;
+  std::vector<bool> reset;
+  if (spec.check != CheckMode::kNone ||
+      spec.encoding != synth::Encoding::kOneHot) {
+    // Explicit state codes: dense encodings and the self-checking copies.
+    const synth::Fsm fsm = build_round_robin_fsm(n);
+    const synth::StateCodes codes = synth::encode_states(fsm, spec.encoding);
+    const std::uint64_t code = codes.code[fsm.reset_state()];
+    const int copies = spec.check == CheckMode::kNone        ? 1
+                       : spec.check == CheckMode::kDuplicate ? 2
+                                                             : 3;
+    comb = copies == 1 ? build_round_robin_aig(n, codes)
+                       : build_self_checking_aig(n, codes, spec.check, code);
+    // Every copy's register bank resets to the same per-copy code,
+    // concatenated copy-major to match the AIG's state-input order.
+    num_state_bits = copies * codes.num_bits;
+    for (int c = 0; c < copies; ++c)
+      for (int b = 0; b < codes.num_bits; ++b)
+        reset.push_back(((code >> b) & 1u) != 0);
+  } else {
+    switch (spec.kind) {
+      case ArbiterKind::kFlatFsm:
+        comb = build_flat_onehot_aig(n);
+        num_state_bits = 2 * n;
+        break;
+      case ArbiterKind::kHierarchical:
+        comb = build_hierarchical_aig(n, spec.arity);
+        num_state_bits = make_hier_shape(n, spec.arity).num_state_bits();
+        break;
+      case ArbiterKind::kPrefix:
+        comb = build_prefix_aig(n);
+        num_state_bits = n;
+        break;
+    }
+    reset = scalable_reset_bits(spec.kind, n, spec.arity);
+  }
+  synth::MapOptions map_options;
+  map_options.objective = spec.flow == synth::FlowKind::kSynplifyLike
+                              ? synth::MapObjective::kArea
+                              : synth::MapObjective::kDepth;
+  synth::SynthResult out = synth::finish_machine_synthesis(
+      comb, /*num_inputs=*/n, num_state_bits, reset, map_options);
+  out.used_encoding = spec.encoding;
+  return out;
+}
+
+synth::SynthResult synthesize_behavioral(const ArbiterSpec& spec) {
+  synth::FlowOptions options;
+  options.kind = spec.flow;
+  options.encoding = spec.encoding;
+  options.harden = spec.harden;
+  return synth::synthesize_fsm(policy_fsm(spec.policy, spec.n), options);
+}
+
+// Times the netlist and fills the characteristics every family shares.
+GeneratedArbiter characterize(const ArbiterSpec& spec,
+                              synth::SynthResult synth) {
+  GeneratedArbiter out;
+  out.synth = std::move(synth);
+  out.timing = timing::analyze(out.synth.netlist, timing::xc4000e_speed3());
+  out.chars.n = spec.n;
+  out.chars.encoding = out.synth.used_encoding;
+  out.chars.flow = spec.flow;
+  out.chars.clbs = out.synth.clb.clbs;
+  out.chars.luts = out.synth.clb.luts;
+  out.chars.ffs = out.synth.clb.ffs;
+  out.chars.lut_depth = out.synth.map.depth;
+  out.chars.fmax_mhz = out.timing.fmax_mhz;
+  out.chars.aig_ands = out.synth.aig_ands;
+  out.chars.overhead_cycles = kProtocolOverheadCycles;
+  return out;
+}
+
+GeneratedArbiter generate_canonical(const ArbiterSpec& spec) {
+  return characterize(spec, spec.mode == GeneratorMode::kStructural
+                                ? synthesize_structural(spec)
+                                : synthesize_behavioral(spec));
+}
+
+// Process-wide synthesis memo.  The mutex only guards the key->entry map;
+// each entry's synthesis runs under its own std::once_flag, so two sweep
+// workers asking for *different* specs synthesize concurrently while two
+// workers asking for the *same* one share a single run (the second blocks
+// in call_once until the first finishes).  Entries are heap-allocated so
+// references stay stable as the map rebalances.
 class SynthMemo {
  public:
-  template <typename MakeFn>
-  const Value& get_or_synthesize(const Key& key, MakeFn&& make) {
+  const GeneratedArbiter& get(const ArbiterSpec& spec) {
     Entry* entry = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      auto [it, inserted] = entries_.try_emplace(key);
+      auto [it, inserted] = entries_.try_emplace(spec);
       if (inserted) {
         it->second = std::make_unique<Entry>();
-        memo_counters().misses.fetch_add(1, std::memory_order_relaxed);
+        misses_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        memo_counters().hits.fetch_add(1, std::memory_order_relaxed);
+        hits_.fetch_add(1, std::memory_order_relaxed);
       }
       entry = it->second.get();
     }
-    std::call_once(entry->once, [&] { entry->value = make(); });
+    std::call_once(entry->once,
+                   [&] { entry->value = generate_canonical(spec); });
     return entry->value;
+  }
+
+  [[nodiscard]] SynthMemoStats stats() const {
+    return {hits_.load(std::memory_order_relaxed),
+            misses_.load(std::memory_order_relaxed)};
   }
 
  private:
   struct Entry {
     std::once_flag once;
-    Value value;
+    GeneratedArbiter value;
   };
   std::mutex mutex_;
-  std::map<Key, std::unique_ptr<Entry>> entries_;
+  std::map<ArbiterSpec, std::unique_ptr<Entry>> entries_;
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
 };
 
-// The delay model participates in the key as its six raw parameters so two
-// distinct models never alias to one characterization.
-using ModelKey = std::tuple<double, double, double, double, double, double>;
-
-ModelKey model_key(const timing::DelayModel& m) {
-  return {m.lut_delay,       m.clk_to_q,         m.setup,
-          m.net_base,        m.net_per_fanout,   m.clock_uncertainty};
-}
-
-using GenerateKey = std::tuple<int, synth::FlowKind, synth::Encoding,
-                               GeneratorMode, ModelKey>;
-using BehavioralKey = std::tuple<int, synth::Encoding, bool>;
-using SelfCheckKey = std::tuple<int, CheckMode, synth::Encoding, ModelKey>;
-using ScalableKey = std::tuple<ArbiterKind, int, int, ModelKey>;
-
-SynthMemo<GenerateKey, GeneratedArbiter>& generate_memo() {
-  static auto* memo = new SynthMemo<GenerateKey, GeneratedArbiter>();
-  return *memo;
-}
-
-SynthMemo<BehavioralKey, synth::SynthResult>& behavioral_memo() {
-  static auto* memo = new SynthMemo<BehavioralKey, synth::SynthResult>();
-  return *memo;
-}
-
-SynthMemo<SelfCheckKey, GeneratedArbiter>& self_check_memo() {
-  static auto* memo = new SynthMemo<SelfCheckKey, GeneratedArbiter>();
-  return *memo;
-}
-
-SynthMemo<ScalableKey, GeneratedArbiter>& scalable_memo() {
-  static auto* memo = new SynthMemo<ScalableKey, GeneratedArbiter>();
+SynthMemo& synth_memo() {
+  static auto* memo = new SynthMemo();
   return *memo;
 }
 
 }  // namespace
 
-SynthMemoStats synth_memo_stats() {
-  SynthMemoStats stats;
-  stats.hits = memo_counters().hits.load(std::memory_order_relaxed);
-  stats.misses = memo_counters().misses.load(std::memory_order_relaxed);
-  return stats;
+GeneratedArbiter generate_arbiter(const ArbiterSpec& spec) {
+  return generate_canonical(canonical(spec));
 }
 
-const GeneratedArbiter& generate_round_robin_cached(
-    int n, synth::FlowKind flow, synth::Encoding encoding,
-    const timing::DelayModel& model, GeneratorMode mode) {
-  // Synplify forces one-hot, so fold the requested encoding into the one
-  // actually used — otherwise the same netlist would be synthesized once
-  // per requested-encoding value.
-  const synth::Encoding used = flow == synth::FlowKind::kSynplifyLike
-                                   ? synth::Encoding::kOneHot
-                                   : encoding;
-  const GenerateKey key{n, flow, used, mode, model_key(model)};
-  return generate_memo().get_or_synthesize(
-      key, [&] { return generate_round_robin(n, flow, used, model, mode); });
+const GeneratedArbiter& generate_arbiter_cached(const ArbiterSpec& spec) {
+  return synth_memo().get(canonical(spec));
 }
 
-const GeneratedArbiter& generate_self_checking_cached(
-    int n, CheckMode mode, synth::Encoding encoding,
-    const timing::DelayModel& model) {
-  const SelfCheckKey key{n, mode, encoding, model_key(model)};
-  return self_check_memo().get_or_synthesize(
-      key, [&] { return generate_self_checking(n, mode, encoding, model); });
-}
+SynthMemoStats synth_memo_stats() { return synth_memo().stats(); }
 
-const synth::SynthResult& synthesize_round_robin_cached(int n,
-                                                        synth::Encoding
-                                                            encoding,
-                                                        bool harden) {
-  const BehavioralKey key{n, encoding, harden};
-  return behavioral_memo().get_or_synthesize(key, [&] {
-    synth::FlowOptions options;
-    options.kind = synth::FlowKind::kExpressLike;
-    options.encoding = encoding;
-    options.harden = harden;
-    return synth::synthesize_fsm(build_round_robin_fsm(n), options);
-  });
-}
-
-const GeneratedArbiter& generate_scalable_cached(
-    ArbiterKind kind, int n, int arity, const timing::DelayModel& model) {
-  // The arity only shapes the hierarchical tree; normalize it for the
-  // other kinds so they don't synthesize once per requested arity.
-  const int used_arity = kind == ArbiterKind::kHierarchical ? arity : 0;
-  const ScalableKey key{kind, n, used_arity, model_key(model)};
-  return scalable_memo().get_or_synthesize(
-      key, [&] { return generate_scalable(kind, n, arity, model); });
-}
-
-const ArbiterCharacteristics& PrecharCache::get(int n) {
-  // Delegates to the process-wide memo: every PrecharCache instance with
-  // the same flow/encoding/model shares one synthesis per N.
-  return generate_round_robin_cached(n, flow_, encoding_, model_).chars;
+const synth::SynthResult& synthesize_round_robin_cached(
+    int n, synth::Encoding encoding, bool harden) {
+  return generate_arbiter_cached({.n = n,
+                                  .encoding = encoding,
+                                  .mode = GeneratorMode::kBehavioral,
+                                  .harden = harden})
+      .synth;
 }
 
 }  // namespace rcarb::core

@@ -1,18 +1,22 @@
 // Arbiter generation and pre-characterization.
 //
-// Reproduces the paper's Sec. 4.2/4.3 methodology: for each N the round-
-// robin FSM is generated, synthesized under a chosen flow and encoding, and
-// characterized for area (CLBs) and maximum clock speed (MHz).  The
-// partitioners rely on the PrecharCache — "arbiters are pre-characterized
-// for area and speed thus making the partitioners' estimation accurate."
+// Reproduces the paper's Sec. 4.2/4.3 methodology: for each N the arbiter
+// is generated, synthesized under a chosen flow and encoding, and
+// characterized for area (CLBs) and maximum clock speed (MHz) on the
+// XC4000e-3 delay model.  Every structure — the Fig. 5 chain under any
+// flow/encoding, the two-level FSM route, the other policies' FSMs, the
+// self-checking copies and the scalable trees — goes through one
+// ArbiterSpec, one generator and one process-wide memo, which is what the
+// partitioners price against: "arbiters are pre-characterized for area and
+// speed thus making the partitioners' estimation accurate."
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "core/hier.hpp"
 #include "core/selfcheck.hpp"
 #include "synth/flow.hpp"
-#include "timing/delay_model.hpp"
 #include "timing/sta.hpp"
 
 namespace rcarb::core {
@@ -44,51 +48,63 @@ enum class GeneratorMode : std::uint8_t {
   /// Factored rotating-priority-chain structure (the generator's default;
   /// what a multi-level-optimizing tool derives from the Fig. 5 FSM).
   kStructural,
-  /// Generic two-level FSM synthesis of the Fig. 5 case statement
+  /// Generic two-level FSM synthesis of the policy's case statement
   /// (exercises the full espresso/AIG/mapping substrate; larger results).
   kBehavioral,
 };
 
 [[nodiscard]] const char* to_string(GeneratorMode m);
 
-/// Generates and characterizes an N-input round-robin arbiter.
-[[nodiscard]] GeneratedArbiter generate_round_robin(
-    int n, synth::FlowKind flow, synth::Encoding encoding,
-    const timing::DelayModel& model = timing::xc4000e_speed3(),
-    GeneratorMode mode = GeneratorMode::kStructural);
+/// Everything that selects one generated arbiter.  The defaults are the
+/// paper's arbiter: the structural Fig. 5 round-robin chain, one-hot,
+/// Express-like (depth-oriented) mapping.  The spec itself is the memo key.
+///
+/// Supported combinations (canonical() refuses the rest):
+///  * kFlatFsm round-robin, structural: any flow and encoding.  One-hot
+///    runs to kMaxWideInputs; compact/gray to kMaxFsmInputs
+///    (core/rr_fsm.hpp).
+///  * kHierarchical (`arity` in [2, 4]) and kPrefix: structural
+///    round-robin, Express-like, one-hot only.
+///  * kBehavioral: kFlatFsm, any policy, flow and encoding; `harden` adds
+///    synth::elaborate's illegal-state recovery.
+///  * `check` kDuplicate / kTmr: structural kFlatFsm round-robin under the
+///    Express-like flow, any encoding whose replicated register fits 64 bits.
+struct ArbiterSpec {
+  int n = 0;
+  Policy policy = Policy::kRoundRobin;
+  ArbiterKind kind = ArbiterKind::kFlatFsm;
+  int arity = 4;  // tree arity, kHierarchical only
+  synth::FlowKind flow = synth::FlowKind::kExpressLike;
+  synth::Encoding encoding = synth::Encoding::kOneHot;  // requested
+  GeneratorMode mode = GeneratorMode::kStructural;
+  CheckMode check = CheckMode::kNone;
+  bool harden = false;
 
-/// Generates and characterizes a self-checking (duplicate-and-compare or
-/// TMR-voted) round-robin arbiter.  The copies are instantiated from the
-/// structural AIG and stitched with the comparator / voter, so the `error`
-/// net is a first-class primary output of the netlist; area/speed land in
-/// `chars` exactly like the plain variants (the Fig. 6/7 benches put them
-/// side by side to price the redundancy).
-[[nodiscard]] GeneratedArbiter generate_self_checking(
-    int n, CheckMode mode, synth::Encoding encoding,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
+  auto operator<=>(const ArbiterSpec&) const = default;
+};
 
-/// Generates and characterizes a scalable arbiter (core/hier.hpp) of the
-/// given kind at any N in [1, kMaxWideInputs] — the large-N extension of
-/// generate_round_robin.  kFlatFsm builds the width-unlimited one-hot
-/// Fig. 5 chain; kHierarchical uses `arity`-way tree nodes; kPrefix is the
-/// Kogge-Stone variant (arity ignored).  Always one-hot / depth-oriented,
-/// so area/fmax crossovers compare structures, not flows.
-[[nodiscard]] GeneratedArbiter generate_scalable(
-    ArbiterKind kind, int n, int arity = 4,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
+/// The one spec every equivalent request maps to: Synplify's requested
+/// encoding folds to the one-hot it actually uses, and `arity` is zeroed
+/// for every kind but kHierarchical.  CHECK-fails (CheckError) on any
+/// combination no generator implements.
+[[nodiscard]] ArbiterSpec canonical(ArbiterSpec spec);
 
-/// Memoized generate_scalable, same locking discipline as
-/// generate_round_robin_cached.
-[[nodiscard]] const GeneratedArbiter& generate_scalable_cached(
-    ArbiterKind kind, int n, int arity = 4,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
+/// Generates and characterizes the arbiter `spec` selects, uncached.  For
+/// the benches that time synthesis itself; everything else should use
+/// generate_arbiter_cached.
+[[nodiscard]] GeneratedArbiter generate_arbiter(const ArbiterSpec& spec);
 
-/// Synthesizes and characterizes an arbitrary arbiter FSM (used for the
-/// Sec. 4 policy comparison; the FSM's inputs are its request lines).
-[[nodiscard]] GeneratedArbiter characterize_fsm(
-    const synth::Fsm& fsm, int n, synth::FlowKind flow,
-    synth::Encoding encoding,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
+/// Memoized generate_arbiter, keyed by canonical(spec): equivalent
+/// requests synthesize once per process and every later caller gets a
+/// reference to the same immutable result.  Sweep cells — ablation grids,
+/// fault-campaign cells, partitioner estimation, kind selection — hit this
+/// instead of re-running synthesis.  Refused specs throw before the memo
+/// records anything.  Thread-safe under RCARB_JOBS: a mutex guards the key
+/// map and a per-entry std::once_flag runs each synthesis exactly once, so
+/// distinct specs still synthesize concurrently.  The reference lives for
+/// the process.
+[[nodiscard]] const GeneratedArbiter& generate_arbiter_cached(
+    const ArbiterSpec& spec);
 
 /// Hit/miss counters of the process-wide synthesis memo.
 struct SynthMemoStats {
@@ -98,51 +114,11 @@ struct SynthMemoStats {
 
 [[nodiscard]] SynthMemoStats synth_memo_stats();
 
-/// Memoized generate_round_robin: identical configurations (same N, flow,
-/// encoding, delay model, and generator mode) synthesize once per process
-/// and every later caller gets a reference to the same immutable result.
-/// Sweep cells — ablation grids, fault-campaign cells, partitioner
-/// estimation — hit this instead of re-running synthesis.  Thread-safe
-/// under RCARB_JOBS: a mutex guards the key map and a per-entry
-/// std::once_flag runs each synthesis exactly once, so distinct keys still
-/// synthesize concurrently.  The returned reference lives for the process.
-[[nodiscard]] const GeneratedArbiter& generate_round_robin_cached(
-    int n, synth::FlowKind flow, synth::Encoding encoding,
-    const timing::DelayModel& model = timing::xc4000e_speed3(),
-    GeneratorMode mode = GeneratorMode::kStructural);
-
-/// Memoized generate_self_checking, same locking discipline as
-/// generate_round_robin_cached.  The degradation supervisor prices its
-/// reconfiguration stalls off these characteristics, and the degradation
-/// bench sweeps hit this instead of re-synthesizing per cell.
-[[nodiscard]] const GeneratedArbiter& generate_self_checking_cached(
-    int n, CheckMode mode, synth::Encoding encoding,
-    const timing::DelayModel& model = timing::xc4000e_speed3());
-
-/// Memoized behavioral synthesis of the N-input round-robin FSM under the
-/// Express-like flow, keyed by (N, encoding, hardening).  This is the
-/// netlist-producing twin of generate_round_robin_cached for callers that
-/// need the hardened (SEU-recovering) variant, which only synthesize_fsm
-/// supports.  Same locking discipline; the reference lives for the process.
+/// The behavioral Express-like round-robin netlist from the memo: a
+/// one-line forward to generate_arbiter_cached, kept because the
+/// wall-clock benchmark (perfbench/replica_campaign.cpp) calls it with
+/// exactly this signature.  New code should build an ArbiterSpec.
 [[nodiscard]] const synth::SynthResult& synthesize_round_robin_cached(
     int n, synth::Encoding encoding, bool harden);
-
-/// Memoizing cache over (n, flow, encoding) used by partitioning/estimation.
-class PrecharCache {
- public:
-  explicit PrecharCache(
-      synth::FlowKind flow = synth::FlowKind::kExpressLike,
-      synth::Encoding encoding = synth::Encoding::kOneHot,
-      timing::DelayModel model = timing::xc4000e_speed3())
-      : flow_(flow), encoding_(encoding), model_(model) {}
-
-  /// Characteristics of the N-input arbiter (synthesizes on first use).
-  const ArbiterCharacteristics& get(int n);
-
- private:
-  synth::FlowKind flow_;
-  synth::Encoding encoding_;
-  timing::DelayModel model_;
-};
 
 }  // namespace rcarb::core

@@ -454,56 +454,6 @@ aig::Aig build_prefix_aig(int n) {
   return g;
 }
 
-aig::Aig build_flat_onehot_aig(int n) {
-  RCARB_CHECK(n >= 1 && n <= kMaxWideInputs,
-              "flat one-hot arbiter size must be in [1, kMaxWideInputs]");
-  const auto un = static_cast<std::size_t>(n);
-  aig::Aig g;
-  std::vector<aig::Lit> req(un);
-  for (std::size_t i = 0; i < un; ++i)
-    req[i] = g.add_input(signal_name("req", i));
-  std::vector<aig::Lit> state(2 * un);
-  for (std::size_t b = 0; b < 2 * un; ++b)
-    state[b] = g.add_input(signal_name("state", b));
-
-  // The same rotating-priority-chain structure core/structural.cpp builds
-  // from explicit one-hot state codes, without its n <= 32 code-word cap:
-  // present[s] is directly state bit s (bit i = Fi, bit n+i = Ci).
-  std::vector<aig::Lit> at(un);
-  for (std::size_t i = 0; i < un; ++i)
-    at[i] = g.lor(state[i], state[un + i]);
-
-  std::vector<aig::Lit> reach(2 * un);
-  for (std::size_t t = 0; t < 2 * un; ++t) {
-    const std::size_t p = t % un;
-    aig::Lit carried = aig::kConstFalse;
-    if (t > 0) {
-      const std::size_t prev = (t - 1) % un;
-      carried = g.land(reach[t - 1], aig::lit_not(req[prev]));
-    }
-    reach[t] = g.lor(at[p], carried);
-  }
-
-  std::vector<aig::Lit> grant(un);
-  for (std::size_t j = 0; j < un; ++j)
-    grant[j] = g.land(req[j], reach[j + un]);
-
-  const aig::Lit any_req = g.lor_many(req);
-  std::vector<aig::Lit> next_state(2 * un);
-  for (std::size_t j = 0; j < un; ++j) {
-    const std::size_t c_prev = un + (j + un - 1) % un;
-    next_state[j] = g.land(aig::lit_not(any_req),
-                           g.lor(state[j], state[c_prev]));
-    next_state[un + j] = grant[j];
-  }
-
-  for (std::size_t b = 0; b < 2 * un; ++b)
-    g.add_output("ns" + std::to_string(b), next_state[b]);
-  for (std::size_t j = 0; j < un; ++j)
-    g.add_output(signal_name("grant", j), grant[j]);
-  return g;
-}
-
 std::vector<bool> scalable_reset_bits(ArbiterKind kind, int n, int arity) {
   switch (kind) {
     case ArbiterKind::kFlatFsm: {

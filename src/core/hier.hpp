@@ -162,9 +162,10 @@ class PrefixArbiter final : public WideArbiter {
 [[nodiscard]] aig::Aig build_prefix_aig(int n);
 
 /// Width-unlimited flat Fig. 5 chain (one-hot, 2n state bits: bit i = Fi,
-/// bit n+i = Ci), the same structure core/structural.cpp builds for
-/// n <= 32 from explicit state codes, and the netlist twin of
-/// RoundRobinArbiter at every width.  Reset: F0 (bit 0).
+/// bit n+i = Ci) and the netlist twin of RoundRobinArbiter at every width.
+/// It is also what build_round_robin_aig returns for one-hot codes; both
+/// live in core/structural.cpp over one rotating-priority chain.  Reset:
+/// F0 (bit 0).
 [[nodiscard]] aig::Aig build_flat_onehot_aig(int n);
 
 /// Reset vector matching the kind's AIG state-bit layout.

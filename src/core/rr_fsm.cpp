@@ -6,8 +6,8 @@
 namespace rcarb::core {
 
 synth::Fsm build_round_robin_fsm(int n) {
-  // One-hot elaboration needs n inputs + 2n state bits <= 64 variables.
-  RCARB_CHECK(n >= 2 && n <= 20, "round-robin FSM supports n in [2, 20]");
+  RCARB_CHECK(n >= 2 && n <= kMaxFsmInputs,
+              "round-robin FSM supports n in [2, kMaxFsmInputs]");
 
   synth::Fsm fsm("rr_arbiter" + std::to_string(n));
   const auto un = static_cast<std::size_t>(n);

@@ -12,9 +12,12 @@
 
 namespace rcarb::core {
 
-/// Builds the N-input round-robin arbiter FSM.  2 <= n <= 20: a one-hot
-/// elaboration uses n request inputs plus 2n state bits, and all of them
-/// must fit the 64-variable cube universe.
+/// Widest round-robin FSM: a one-hot elaboration uses n request inputs
+/// plus 2n state bits, and all of them must fit the 64-variable cube
+/// universe.  Arbiters priced off the FSM generator cap their N here.
+inline constexpr int kMaxFsmInputs = 20;
+
+/// Builds the N-input round-robin arbiter FSM, 2 <= n <= kMaxFsmInputs.
 [[nodiscard]] synth::Fsm build_round_robin_fsm(int n);
 
 }  // namespace rcarb::core

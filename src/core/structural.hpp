@@ -21,6 +21,9 @@ namespace rcarb::core {
 /// `encoding`.  AIG inputs: req0..req{n-1}, then state bits state0..; AIG
 /// outputs: next-state bits ns0.., then grant0..grant{n-1}.  State id
 /// convention matches build_round_robin_fsm: F0..F{n-1}, C0..C{n-1}.
+/// One-hot codes (state s on bit s, as synth::encode_states assigns them)
+/// give exactly build_flat_onehot_aig(n); dense codes decode each state,
+/// run the same rotating-priority chain and encode the next state back.
 [[nodiscard]] aig::Aig build_round_robin_aig(int n,
                                              const synth::StateCodes& codes);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/generator.hpp"
+#include "core/rr_fsm.hpp"
 #include "support/check.hpp"
 
 namespace rcarb::degrade {
@@ -245,23 +246,18 @@ std::uint64_t arbiter_reconfig_cycles(const DegradeOptions& options, int n,
                                       core::CheckMode mode,
                                       synth::Encoding encoding) {
   if (n < 2) return reconfig_cycles(options, 0);
-  // The FSM generator tops out at 20 request lines, and the replicated
-  // self-checking register bank must fit one 64-bit word (2 x 2n for DMR,
-  // 3 x 2n for TMR); larger contention sets are priced at the widest
-  // characterized arbiter of the mode.
-  const int cap = mode == core::CheckMode::kNone        ? 20
-                  : mode == core::CheckMode::kDuplicate ? 16
-                                                        : 10;
-  const int capped = std::min(n, cap);
-  const std::size_t clbs =
-      mode == core::CheckMode::kNone
-          ? core::generate_round_robin_cached(capped,
-                                              synth::FlowKind::kExpressLike,
-                                              encoding)
-                .chars.clbs
-          : core::generate_self_checking_cached(capped, mode, encoding)
-                .chars.clbs;
-  return reconfig_cycles(options, clbs);
+  // The FSM generator tops out at kMaxFsmInputs request lines, and the
+  // replicated self-checking register bank must fit one 64-bit word (2n
+  // one-hot bits per copy); larger contention sets are priced at the
+  // widest characterized arbiter of the mode.
+  const int copies = mode == core::CheckMode::kNone        ? 1
+                     : mode == core::CheckMode::kDuplicate ? 2
+                                                           : 3;
+  const int cap = copies == 1 ? core::kMaxFsmInputs : 64 / (2 * copies);
+  const core::ArbiterSpec spec{
+      .n = std::min(n, cap), .encoding = encoding, .check = mode};
+  return reconfig_cycles(options,
+                         core::generate_arbiter_cached(spec).chars.clbs);
 }
 
 }  // namespace rcarb::degrade

@@ -21,8 +21,9 @@ FlowReport run_flow(const tg::TaskGraph& input, const board::Board& board,
     partitions = *options.pinned_partitions;
   } else {
     part::TemporalOptions temporal = options.temporal;
-    core::PrecharCache default_prechar(options.synth_flow, options.encoding);
-    if (temporal.prechar == nullptr) temporal.prechar = &default_prechar;
+    if (!temporal.prechar)
+      temporal.prechar = core::ArbiterSpec{.flow = options.synth_flow,
+                                           .encoding = options.encoding};
     const part::TemporalResult tr =
         part::temporal_partition(graph, board, temporal);
     for (const part::TemporalPartition& tp : tr.partitions)
@@ -42,20 +43,20 @@ FlowReport run_flow(const tg::TaskGraph& input, const board::Board& board,
   }
 
   // Arbiter synthesis goes through the process-wide memo: one netlist per
-  // distinct (port count, flow, encoding) across every run_flow call.
-  // Non-flat instances characterize the matching scalable AIG generator
-  // instead, so estimates track the structure the simulator instantiates.
+  // distinct spec across every run_flow call.  Each instance is priced as
+  // the structure the simulator instantiates; the flow and encoding only
+  // apply to the flat chain (the scalable kinds are one-hot, depth-mapped).
   auto characterize =
       [&](const core::ArbiterInstance& inst)
       -> const core::ArbiterCharacteristics& {
-    const int n = static_cast<int>(inst.ports.size());
-    if (inst.kind == core::ArbiterKind::kFlatFsm)
-      return core::generate_round_robin_cached(n, options.synth_flow,
-                                               options.encoding)
-          .chars;
-    return core::generate_scalable_cached(inst.kind, n,
-                                          options.insertion.arbiter_arity)
-        .chars;
+    core::ArbiterSpec spec{.n = static_cast<int>(inst.ports.size()),
+                           .kind = inst.kind,
+                           .arity = options.insertion.arbiter_arity};
+    if (inst.kind == core::ArbiterKind::kFlatFsm) {
+      spec.flow = options.synth_flow;
+      spec.encoding = options.encoding;
+    }
+    return core::generate_arbiter_cached(spec).chars;
   };
 
   double min_fmax = 0.0;

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 
+#include "core/rr_fsm.hpp"
 #include "support/check.hpp"
 
 namespace rcarb::part {
@@ -14,11 +15,17 @@ namespace {
 /// by several member tasks needs an arbiter, and when the active segments
 /// outnumber the physical banks the memory mapper will have to co-locate
 /// the overflow — estimate one arbiter over the union of their accessors.
-std::size_t estimate_arbiter_clbs(const tg::TaskGraph& graph,
-                                  const std::vector<tg::TaskId>& tasks,
-                                  std::size_t num_banks,
-                                  core::PrecharCache* prechar) {
-  if (prechar == nullptr) return 0;
+std::size_t estimate_arbiter_clbs(
+    const tg::TaskGraph& graph, const std::vector<tg::TaskId>& tasks,
+    std::size_t num_banks, const std::optional<core::ArbiterSpec>& prechar) {
+  if (!prechar) return 0;
+  // Pre-characterized area of one arbiter over `users` ports.
+  auto arbiter_clbs = [&](std::size_t users) {
+    core::ArbiterSpec spec = *prechar;
+    spec.n = static_cast<int>(std::min<std::size_t>(
+        users, static_cast<std::size_t>(core::kMaxFsmInputs)));
+    return core::generate_arbiter_cached(spec).chars.clbs;
+  };
 
   std::set<int> active;
   for (tg::TaskId t : tasks)
@@ -33,9 +40,7 @@ std::size_t estimate_arbiter_clbs(const tg::TaskGraph& graph,
       if (std::find(segs.begin(), segs.end(), s) != segs.end()) ++users;
     }
     per_segment_users.push_back(users);
-    if (users >= 2)
-      clbs += prechar->get(static_cast<int>(std::min<std::size_t>(users, 20)))
-                  .clbs;
+    if (users >= 2) clbs += arbiter_clbs(users);
   }
   if (active.size() > num_banks && num_banks > 0) {
     // The overflow segments share one bank; bound the arbiter size by the
@@ -47,9 +52,7 @@ std::size_t estimate_arbiter_clbs(const tg::TaskGraph& graph,
          ++k, ++it)
       users += *it;
     users = std::min(users, tasks.size());
-    if (users >= 2)
-      clbs += prechar->get(static_cast<int>(std::min<std::size_t>(users, 20)))
-                  .clbs;
+    if (users >= 2) clbs += arbiter_clbs(users);
   }
   return clbs;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "board/board.hpp"
@@ -20,8 +21,10 @@ namespace rcarb::part {
 struct TemporalOptions {
   /// Fraction of board CLBs usable by tasks (routing/controller headroom).
   double utilization = 0.75;
-  /// Estimates arbiter area while filling; nullptr prices arbiters at zero.
-  core::PrecharCache* prechar = nullptr;
+  /// The arbiter to price each shared segment at while filling; `n` is
+  /// filled in per estimate (capped at core::kMaxFsmInputs).  nullopt
+  /// prices arbiters at zero.
+  std::optional<core::ArbiterSpec> prechar;
 };
 
 struct TemporalPartition {

@@ -320,7 +320,8 @@ TEST(FlatWideAig, MatchesTheStructuralGeneratorBitForBit) {
   // build_flat_onehot_aig must compute the exact function of the Fig. 5
   // structural chain under one-hot codes — including on illegal
   // (multi-/zero-hot) state-register patterns, which the SEU lockstep
-  // depends on.  64 random patterns per round x 64 rounds per size.
+  // depends on.  64 random patterns per round x 64 rounds per size.  It is
+  // also the oracle for the dense-code decode and encode below.
   for (int n = 2; n <= 6; ++n) {
     const synth::Fsm fsm = core::build_round_robin_fsm(n);
     const synth::StateCodes codes =
@@ -350,6 +351,53 @@ TEST(FlatWideAig, MatchesTheStructuralGeneratorBitForBit) {
                   eval(wv, wide.output_driver(o)))
             << "output " << wide.output_name(o) << " diverged, n=" << n
             << " round " << round;
+      }
+    }
+  }
+
+  // Dense codes run the same chain between a state decode and a
+  // next-state encode: from every legal state, the compact and gray
+  // machines must grant what the one-hot chain grants and move to the
+  // code of the state it moves to.
+  for (const synth::Encoding enc :
+       {synth::Encoding::kCompact, synth::Encoding::kGray}) {
+    for (int n = 2; n <= 6; ++n) {
+      const auto un = static_cast<std::size_t>(n);
+      const synth::StateCodes codes =
+          synth::encode_states(core::build_round_robin_fsm(n), enc);
+      const auto nb = static_cast<std::size_t>(codes.num_bits);
+      const aig::Aig dense = core::build_round_robin_aig(n, codes);
+      const aig::Aig wide = core::build_flat_onehot_aig(n);
+      ASSERT_EQ(dense.num_outputs(), nb + un);
+      auto eval = [](const aig::Aig& g, const std::vector<std::uint64_t>& v,
+                     std::size_t o) {
+        const aig::Lit l = g.output_driver(o);
+        return v[aig::lit_node(l)] ^ (aig::lit_compl(l) ? ~0ull : 0ull);
+      };
+      Rng rng(5151 + static_cast<std::uint64_t>(n));
+      for (std::size_t s = 0; s < 2 * un; ++s) {
+        for (int round = 0; round < 4; ++round) {
+          std::vector<std::uint64_t> dp(dense.num_inputs());
+          std::vector<std::uint64_t> wp(wide.num_inputs());
+          for (std::size_t i = 0; i < un; ++i) dp[i] = wp[i] = rng.next_u64();
+          for (std::size_t b = 0; b < nb; ++b)
+            dp[un + b] = ((codes.code[s] >> b) & 1u) ? ~0ull : 0ull;
+          wp[un + s] = ~0ull;
+          const auto dv = dense.simulate(dp);
+          const auto wv = wide.simulate(wp);
+          for (std::size_t j = 0; j < un; ++j)
+            ASSERT_EQ(eval(dense, dv, nb + j), eval(wide, wv, 2 * un + j))
+                << synth::to_string(enc) << " grant" << j << " n=" << n
+                << " state " << s;
+          for (std::size_t b = 0; b < nb; ++b) {
+            std::uint64_t expected = 0;
+            for (std::size_t t = 0; t < 2 * un; ++t)
+              if ((codes.code[t] >> b) & 1u) expected |= eval(wide, wv, t);
+            ASSERT_EQ(eval(dense, dv, b), expected)
+                << synth::to_string(enc) << " ns" << b << " n=" << n
+                << " state " << s;
+          }
+        }
       }
     }
   }
@@ -809,17 +857,17 @@ TEST(ArbiterFactory, SelectionHonorsTheBudgetInAreaOrder) {
   // An unmeetable floor falls back to the fastest structure.
   const ArbiterKind fastest = core::select_arbiter_kind(64, 1e9);
   const double hier_fmax =
-      core::generate_scalable_cached(ArbiterKind::kHierarchical, 64, 4)
+      core::generate_arbiter_cached(
+          {.n = 64, .kind = ArbiterKind::kHierarchical})
           .chars.fmax_mhz;
   const double prefix_fmax =
-      core::generate_scalable_cached(ArbiterKind::kPrefix, 64)
+      core::generate_arbiter_cached({.n = 64, .kind = ArbiterKind::kPrefix})
           .chars.fmax_mhz;
   EXPECT_EQ(fastest, hier_fmax >= prefix_fmax ? ArbiterKind::kHierarchical
                                               : ArbiterKind::kPrefix);
   // A budget at the flat chain's own fmax keeps flat; just above loses it.
   const double flat_fmax =
-      core::generate_scalable_cached(ArbiterKind::kFlatFsm, 64)
-          .chars.fmax_mhz;
+      core::generate_arbiter_cached({.n = 64}).chars.fmax_mhz;
   EXPECT_EQ(core::select_arbiter_kind(64, flat_fmax), ArbiterKind::kFlatFsm);
   EXPECT_NE(core::select_arbiter_kind(64, flat_fmax + 1.0),
             ArbiterKind::kFlatFsm);
@@ -955,10 +1003,11 @@ TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
 // ======================================================== synthesis sanity
 
 TEST(ScalableSynthesis, RegisterCountsMatchTheStructures) {
-  const auto& flat = core::generate_scalable_cached(ArbiterKind::kFlatFsm, 16);
-  const auto& hier =
-      core::generate_scalable_cached(ArbiterKind::kHierarchical, 16, 4);
-  const auto& prefix = core::generate_scalable_cached(ArbiterKind::kPrefix, 16);
+  const auto& flat = core::generate_arbiter_cached({.n = 16});
+  const auto& hier = core::generate_arbiter_cached(
+      {.n = 16, .kind = ArbiterKind::kHierarchical});
+  const auto& prefix =
+      core::generate_arbiter_cached({.n = 16, .kind = ArbiterKind::kPrefix});
   EXPECT_EQ(flat.chars.ffs, 32u);  // 2N one-hot Fi/Ci bits
   EXPECT_EQ(hier.chars.ffs, static_cast<std::size_t>(
                                 core::make_hier_shape(16, 4).num_state_bits()));
@@ -971,10 +1020,11 @@ TEST(ScalableSynthesis, RegisterCountsMatchTheStructures) {
 }
 
 TEST(ScalableSynthesis, HierarchyBeatsTheFlatChainAtN64) {
-  const auto& flat = core::generate_scalable_cached(ArbiterKind::kFlatFsm, 64);
-  const auto& hier =
-      core::generate_scalable_cached(ArbiterKind::kHierarchical, 64, 4);
-  const auto& prefix = core::generate_scalable_cached(ArbiterKind::kPrefix, 64);
+  const auto& flat = core::generate_arbiter_cached({.n = 64});
+  const auto& hier = core::generate_arbiter_cached(
+      {.n = 64, .kind = ArbiterKind::kHierarchical});
+  const auto& prefix =
+      core::generate_arbiter_cached({.n = 64, .kind = ArbiterKind::kPrefix});
   // The ISSUE headline: the flat chain's O(N) scan caps its fmax, the
   // tree overtakes it from N = 64 (bench_arbiter_scaling sweeps further).
   EXPECT_GT(hier.chars.fmax_mhz, flat.chars.fmax_mhz);

@@ -108,14 +108,13 @@ TEST(Temporal, AccountsArbiterAreaWithPrechar) {
   tiny.add_pe("pe", 400, 0);
   tiny.add_bank("m", 1024, 0);
 
-  TemporalOptions no_arb;  // prechar == nullptr: arbiters priced at zero
+  TemporalOptions no_arb;  // prechar == nullopt: arbiters priced at zero
   no_arb.utilization = 0.75;
   EXPECT_EQ(temporal_partition(g, tiny, no_arb).partitions.size(), 1u);
 
-  core::PrecharCache prechar;
   TemporalOptions with_arb;
   with_arb.utilization = 0.75;
-  with_arb.prechar = &prechar;
+  with_arb.prechar = core::ArbiterSpec{};  // the paper's one-hot Fig. 5 chain
   EXPECT_EQ(temporal_partition(g, tiny, with_arb).partitions.size(), 2u);
 }
 

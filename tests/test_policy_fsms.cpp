@@ -30,12 +30,14 @@ void check_fsm_matches_behavior(const synth::Fsm& fsm, Arbiter& behavioral,
   }
 }
 
-/// Synthesizes the FSM and co-simulates the mapped netlist too.
-void check_netlist_matches_behavior(const synth::Fsm& fsm, Arbiter& behavioral,
-                                    int n, synth::Encoding encoding,
+/// Synthesizes the policy's FSM and co-simulates the mapped netlist too.
+void check_netlist_matches_behavior(Policy policy, Arbiter& behavioral, int n,
+                                    synth::Encoding encoding,
                                     std::uint64_t seed, int cycles) {
-  const auto g = characterize_fsm(fsm, n, synth::FlowKind::kExpressLike,
-                                  encoding);
+  const auto& g = generate_arbiter_cached({.n = n,
+                                           .policy = policy,
+                                           .encoding = encoding,
+                                           .mode = GeneratorMode::kBehavioral});
   netlist::Simulator sim(g.synth.netlist);
   // Resolve port names once — the cycle loop must not hash strings.
   std::vector<netlist::NetId> req_net, grant_net;
@@ -54,11 +56,12 @@ void check_netlist_matches_behavior(const synth::Fsm& fsm, Arbiter& behavioral,
     int got = -1;
     for (int i = 0; i < n; ++i) {
       if (sim.get(grant_net[static_cast<std::size_t>(i)])) {
-        ASSERT_EQ(got, -1) << "double grant from " << fsm.name();
+        ASSERT_EQ(got, -1) << "double grant from " << to_string(policy);
         got = i;
       }
     }
-    ASSERT_EQ(got, behavioral.step(req)) << fsm.name() << " cycle " << cyc;
+    ASSERT_EQ(got, behavioral.step(req))
+        << to_string(policy) << " cycle " << cyc;
     sim.clock();
   }
   EXPECT_EQ(sim.name_lookups(), 0u);
@@ -78,7 +81,7 @@ TEST_P(PriorityFsmSweep, MatchesBehavioralModel) {
 TEST_P(PriorityFsmSweep, SynthesizedNetlistMatches) {
   const int n = GetParam();
   PriorityArbiter behavioral(n);
-  check_netlist_matches_behavior(build_priority_fsm(n), behavioral, n,
+  check_netlist_matches_behavior(Policy::kPriority, behavioral, n,
                                  synth::Encoding::kOneHot,
                                  600 + static_cast<std::uint64_t>(n), 1000);
 }
@@ -120,7 +123,7 @@ TEST_P(LfsrFsmSweep, MatchesBehavioralTwin) {
 TEST_P(LfsrFsmSweep, SynthesizedNetlistMatches) {
   const int n = GetParam();
   LfsrRandomArbiter behavioral(n);
-  check_netlist_matches_behavior(build_lfsr_random_fsm(n), behavioral, n,
+  check_netlist_matches_behavior(Policy::kRandom, behavioral, n,
                                  synth::Encoding::kOneHot,
                                  800 + static_cast<std::uint64_t>(n), 800);
 }
@@ -169,13 +172,13 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FifoFsmSweep, ::testing::Values(2, 3, 4));
 
 TEST(FifoFsm, SynthesizedNetlistMatchesForSmallN) {
   FifoArbiter behavioral(3);
-  check_netlist_matches_behavior(build_fifo_fsm(3), behavioral, 3,
+  check_netlist_matches_behavior(Policy::kFifo, behavioral, 3,
                                  synth::Encoding::kOneHot, 42, 1500);
 }
 
 TEST(FifoFsm, CompactEncodingWorksForN4) {
   FifoArbiter behavioral(4);
-  check_netlist_matches_behavior(build_fifo_fsm(4), behavioral, 4,
+  check_netlist_matches_behavior(Policy::kFifo, behavioral, 4,
                                  synth::Encoding::kCompact, 43, 400);
 }
 
@@ -192,13 +195,15 @@ TEST(FifoFsm, StateSpaceGrowsCombinatorially) {
 // ------------------------------------------------------- hardware comparison
 
 TEST(PolicyHardware, RoundRobinIsTheCheapFairOption) {
-  const auto flow = synth::FlowKind::kExpressLike;
-  const auto enc = synth::Encoding::kOneHot;
   const int n = 4;
-  const auto rr = generate_round_robin(n, flow, enc);
-  const auto fifo = characterize_fsm(build_fifo_fsm(n), n, flow,
-                                     synth::Encoding::kCompact);
-  const auto rand = characterize_fsm(build_lfsr_random_fsm(n), n, flow, enc);
+  const auto& rr = generate_arbiter_cached({.n = n});
+  const auto& fifo = generate_arbiter_cached(
+      {.n = n,
+       .policy = Policy::kFifo,
+       .encoding = synth::Encoding::kCompact,
+       .mode = GeneratorMode::kBehavioral});
+  const auto& rand = generate_arbiter_cached(
+      {.n = n, .policy = Policy::kRandom, .mode = GeneratorMode::kBehavioral});
   // The Sec. 4 claim, now measurable: every fair alternative costs several
   // times the round-robin area.
   EXPECT_GT(fifo.chars.clbs, 4 * rr.chars.clbs);

@@ -32,6 +32,11 @@
 namespace rcarb::netlist {
 namespace {
 
+/// The fault campaign's bank arbiter: hardened 3-port behavioral
+/// round-robin.
+const core::ArbiterSpec kHardened3{
+    .n = 3, .mode = core::GeneratorMode::kBehavioral, .harden = true};
+
 /// Nets every engine drives/observes: primary inputs, and the q nets +
 /// marked outputs folded into the per-lane checksum.
 struct Ports {
@@ -220,20 +225,17 @@ TEST(WideCrossWidth, RandomNetlistsAgreeAcrossWidthsTiersAndModes) {
 }
 
 TEST(WideCrossWidth, HardenedArbiterAgreesAcrossWidths) {
-  const auto& s = core::synthesize_round_robin_cached(
-      3, synth::Encoding::kOneHot, /*harden=*/true);
+  const auto& s = core::generate_arbiter_cached(kHardened3).synth;
   check_cross_width(s.netlist, 4242);
 }
 
 TEST(WideCrossWidth, StructuralArbiterAgreesAcrossWidths) {
-  const auto& g = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_arbiter_cached({.n = 8});
   check_cross_width(g.synth.netlist, 9001);
 }
 
 TEST(WideKernel, DispatchReportsAtMostTheMachineTier) {
-  const auto& s = core::synthesize_round_robin_cached(
-      3, synth::Encoding::kOneHot, /*harden=*/true);
+  const auto& s = core::generate_arbiter_cached(kHardened3).synth;
   for (const std::size_t lanes : {std::size_t{64}, std::size_t{256},
                                   std::size_t{512}}) {
     WideLaneSimulator sim(s.netlist, lanes);
@@ -259,8 +261,7 @@ TEST(WideKernel, DispatchReportsAtMostTheMachineTier) {
 }
 
 TEST(WideEventDriven, SkipsCleanLutsAndPokesStayIncremental) {
-  const auto& g = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_arbiter_cached({.n = 8});
   const Netlist& nl = g.synth.netlist;
   const Ports p = collect_ports(nl);
 
@@ -285,8 +286,7 @@ TEST(WideEventDriven, SkipsCleanLutsAndPokesStayIncremental) {
 }
 
 TEST(WideNameLookups, ResolvedIdLoopsDoNoStringHashing) {
-  const auto& g = core::generate_round_robin_cached(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_arbiter_cached({.n = 4});
   const Netlist& nl = g.synth.netlist;
   const Ports p = collect_ports(nl);
   WideLaneSimulator sim(nl, 256);
@@ -330,8 +330,7 @@ fault::ReplicaBatchSpec campaign_spec(const Netlist& nl, int n,
 }
 
 TEST(ReplicaBatch, ByteIdenticalAcrossJobsWidthsAndTiers) {
-  const auto& s = core::synthesize_round_robin_cached(
-      3, synth::Encoding::kOneHot, /*harden=*/true);
+  const auto& s = core::generate_arbiter_cached(kHardened3).synth;
   // 300 replicas: not a multiple of any lane width, so every width
   // exercises a partial final batch.
   const fault::ReplicaBatchSpec spec =
@@ -398,8 +397,7 @@ std::uint64_t scalar_replica_checksum(const fault::ReplicaBatchSpec& spec,
 }
 
 TEST(ReplicaBatch, MatchesScalarSimulatorReplicas) {
-  const auto& s = core::synthesize_round_robin_cached(
-      3, synth::Encoding::kOneHot, /*harden=*/true);
+  const auto& s = core::generate_arbiter_cached(kHardened3).synth;
   const fault::ReplicaBatchSpec spec =
       campaign_spec(s.netlist, 3, /*replicas=*/70, /*seed=*/31337,
                     /*cycles=*/80);
@@ -420,12 +418,9 @@ TEST(ReplicaBatch, MatchesScalarSimulatorReplicas) {
 // a run ending in a partial chunk — with SEUs on the last cycle of a chunk
 // and SEUs past the end of the run.
 TEST(ReplicaBatch, ChunkedFoldMatchesScalarAcrossGrantCountsAndTails) {
-  const auto& n3 = core::synthesize_round_robin_cached(
-      3, synth::Encoding::kOneHot, /*harden=*/true);
-  const auto& n8 = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
-  const auto& n16 = core::generate_round_robin_cached(
-      16, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& n3 = core::generate_arbiter_cached(kHardened3).synth;
+  const auto& n8 = core::generate_arbiter_cached({.n = 8});
+  const auto& n16 = core::generate_arbiter_cached({.n = 16});
   const struct {
     const Netlist* nl;
     int n;
@@ -465,8 +460,7 @@ TEST(ReplicaBatch, ChunkedFoldMatchesScalarAcrossGrantCountsAndTails) {
 }
 
 TEST(ReplicaBatch, RejectsGrantCountsOutsideOneTo64) {
-  const auto& s = core::synthesize_round_robin_cached(
-      3, synth::Encoding::kOneHot, /*harden=*/true);
+  const auto& s = core::generate_arbiter_cached(kHardened3).synth;
   fault::ReplicaBatchSpec spec =
       campaign_spec(s.netlist, 3, /*replicas=*/4, /*seed=*/5, /*cycles=*/8);
   const NetId grant0 = spec.grant[0];
@@ -665,8 +659,8 @@ TEST_P(LaneLockstep, AllEnginesAgreeUnderRandomRequestsAndSeus) {
   const int n = GetParam().n;
   // The memo cache feeds every parametrization; repeated suite runs in one
   // process synthesize each config once.
-  const auto& g = core::generate_round_robin_cached(
-      n, synth::FlowKind::kExpressLike, GetParam().encoding);
+  const auto& g = core::generate_arbiter_cached(
+      {.n = n, .encoding = GetParam().encoding});
   lockstep(g.synth.netlist, n, 7001 + static_cast<std::uint64_t>(n), 260);
 }
 
@@ -693,8 +687,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(kLockstepCases));
 
 TEST(LaneLockstep, HardenedArbiterAgrees) {
-  const auto& s = core::synthesize_round_robin_cached(
-      3, synth::Encoding::kOneHot, /*harden=*/true);
+  const auto& s = core::generate_arbiter_cached(kHardened3).synth;
   lockstep(s.netlist, 3, 99, 260);
 }
 
@@ -714,8 +707,7 @@ TEST(LaneLockstep, HandBuiltSinglePortNetlist) {
 }
 
 TEST(EventDriven, SkipsCleanLutsOnQuietInputs) {
-  const auto& g = core::generate_round_robin_cached(
-      8, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_arbiter_cached({.n = 8});
   const Netlist& nl = g.synth.netlist;
   const ArbiterPorts p = resolve_arbiter_ports(nl, 8);
 
@@ -754,8 +746,7 @@ TEST(EventDriven, PokeSeedsTheFanoutConeNotAFullResettle) {
   // The poked DFF's fanout cone is all a poke can dirty — exactly what
   // clock() marks when that register changes — so the incremental path
   // must survive fault injection, with unchanged values.
-  const auto& g = core::generate_round_robin_cached(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_arbiter_cached({.n = 4});
   const Netlist& nl = g.synth.netlist;
   const ArbiterPorts p = resolve_arbiter_ports(nl, 4);
   ASSERT_FALSE(p.state.empty());
@@ -802,8 +793,7 @@ TEST(EventDriven, PokeSeedsTheFanoutConeNotAFullResettle) {
 }
 
 TEST(NameLookups, CycleLoopsWithResolvedIdsDoNoStringHashing) {
-  const auto& g = core::generate_round_robin_cached(
-      4, synth::FlowKind::kExpressLike, synth::Encoding::kOneHot);
+  const auto& g = core::generate_arbiter_cached({.n = 4});
   const Netlist& nl = g.synth.netlist;
   // Resolve every name once, before the loop — the pattern all simulator
   // call sites follow.
@@ -880,8 +870,8 @@ TEST(RequestTrace, RecordedStreamReplaysAgainstSynthesizedNetlist) {
 
   // Replay: netlist grants must match the behavioral arbiter cycle for
   // cycle on the recorded stream.
-  const auto& rr = core::synthesize_round_robin_cached(
-      2, synth::Encoding::kOneHot, /*harden=*/false);
+  const auto& rr = core::generate_arbiter_cached(
+      {.n = 2, .mode = core::GeneratorMode::kBehavioral}).synth;
   const ArbiterPorts p = resolve_arbiter_ports(rr.netlist, 2);
   Simulator replay(rr.netlist);
   core::RoundRobinArbiter beh(2);
