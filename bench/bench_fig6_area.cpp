@@ -37,7 +37,8 @@ void print_fig6(rcarb::obs::BenchReporter& rep) {
     // degradation campaigns' redundancy is priced on the same axis.
     const auto& dm =
         generate_arbiter_cached({.n = n, .check = CheckMode::kDuplicate});
-    const auto& tm = generate_arbiter_cached({.n = n, .check = CheckMode::kTmr});
+    const auto& tm =
+        generate_arbiter_cached({.n = n, .check = CheckMode::kTmr});
     table.add_row({std::to_string(n), std::to_string(eo.chars.clbs),
                    std::to_string(ec.chars.clbs),
                    std::to_string(so.chars.clbs),

@@ -37,7 +37,8 @@ void print_fig7(rcarb::obs::BenchReporter& rep) {
     // path, so the redundancy's clock cost shows up here, not just in area.
     const auto& dm =
         generate_arbiter_cached({.n = n, .check = CheckMode::kDuplicate});
-    const auto& tm = generate_arbiter_cached({.n = n, .check = CheckMode::kTmr});
+    const auto& tm =
+        generate_arbiter_cached({.n = n, .check = CheckMode::kTmr});
     table.add_row({std::to_string(n), rcarb::fmt_fixed(eo.chars.fmax_mhz, 1),
                    rcarb::fmt_fixed(ec.chars.fmax_mhz, 1),
                    rcarb::fmt_fixed(so.chars.fmax_mhz, 1),

@@ -156,12 +156,13 @@ TEST(SynthMemo, BehavioralCacheKeyIncludesHardening) {
 }
 
 TEST(SynthMemo, EquivalentRequestsShareOneEntry) {
-  // The flat kind (as kind selection asks for it, with the default tree
-  // arity) and the Express one-hot structural round-robin (as the Fig. 6/7
-  // benches ask for it) are one netlist, so they are one memo entry.
+  // The flat kind (as kind selection asks for it, carrying whatever tree
+  // arity the caller configured) and the Express one-hot structural
+  // round-robin (as the Fig. 6/7 benches ask for it) are one netlist, so
+  // they are one memo entry.
   for (const int n : {2, 8, 16, 20}) {
     const GeneratedArbiter& flat = generate_arbiter_cached(
-        {.n = n, .kind = ArbiterKind::kFlatFsm, .arity = 4});
+        {.n = n, .kind = ArbiterKind::kFlatFsm, .arity = 2});
     const GeneratedArbiter& rr =
         generate_arbiter_cached({.n = n,
                                  .policy = Policy::kRoundRobin,
