@@ -9,8 +9,9 @@
 // (netlist::WideLaneSimulator's portable kernel), four words (AVX2) or
 // eight words (AVX-512), with the SIMD kernel chosen at runtime
 // (support/cpu.hpp, $RCARB_SIMD caps it) — and advance all lanes in one
-// pass per cycle.  Event-driven settle additionally skips LUTs whose
-// inputs are quiet; the grid sweeps both settle modes at every width.
+// pass per cycle, and their event-driven settle skips LUTs whose inputs
+// are quiet.  `event%` is the share of LUT evaluations that skipping
+// leaves at 512 lanes, against one full topo pass per settle.
 // The `batched` cell fans a 4096-replica campaign out as (batches x
 // lanes) across $RCARB_JOBS workers (fault::run_replica_batch).
 //
@@ -23,12 +24,13 @@
 // loop but is timed apart from the kernel: `host_fold_share` is its share
 // of (kernel + fold) wall time at 512 lanes, a host figure next to the
 // kernel-only ones.  Every grid cell's per-replica checksums are
-// cross-checked: scalar vs every width, event vs full settle, and the
+// cross-checked against the scalar baseline and across widths, and the
 // folded value lands in the `checksum_<config>` notes — byte-identical
 // across $RCARB_SIMD tiers and $RCARB_JOBS counts, which CI pins by
 // diffing the notes across forced-tier reruns.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -48,7 +50,6 @@ namespace {
 using namespace rcarb;
 using netlist::Netlist;
 using netlist::NetId;
-using netlist::SettleMode;
 using netlist::Simulator;
 using netlist::WideLaneSimulator;
 
@@ -106,12 +107,28 @@ std::uint64_t run_scalar_replica(Simulator& sim,
   return checksum;
 }
 
+/// LUT evaluations a full topo pass per settle would make on `spec` at
+/// `lanes` lanes: each pass settles once on reset(), twice per cycle
+/// (settle() and clock()) and once per in-run SEU poke.
+std::uint64_t full_pass_evals(const fault::ReplicaBatchSpec& spec,
+                              std::size_t lanes) {
+  const std::size_t cycles = spec.requests.size();
+  std::uint64_t settles = 0;
+  for (std::size_t first = 0; first < spec.seu.size(); first += lanes) {
+    settles += 1 + 2 * cycles;
+    const std::size_t end = std::min(first + lanes, spec.seu.size());
+    for (std::size_t r = first; r < end; ++r)
+      if (spec.seu[r].cycle < cycles) ++settles;
+  }
+  return settles * spec.netlist->num_luts();
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
-/// One (width, settle mode) grid cell over the shared 512-replica batch.
+/// One grid cell (one lane width) over the shared 512-replica batch.
 struct Cell {
   double cps = 0.0;            // lane-cycles per second
   double evals_per_sec = 0.0;  // LUT evaluations per second
@@ -122,11 +139,9 @@ struct Cell {
   SimdTier tier = SimdTier::kScalar;
 };
 
-Cell run_cell(const fault::ReplicaBatchSpec& spec, std::size_t lanes,
-              SettleMode mode) {
+Cell run_cell(const fault::ReplicaBatchSpec& spec, std::size_t lanes) {
   fault::ReplicaBatchOptions opt;
   opt.lanes = lanes;
-  opt.mode = mode;
   opt.jobs = 1;  // grid cells time the kernel, not the worker pool
   const fault::ReplicaBatchResult r = fault::run_replica_batch(spec, opt);
   Cell cell;
@@ -144,10 +159,9 @@ Cell run_cell(const fault::ReplicaBatchSpec& spec, std::size_t lanes,
 
 struct ConfigResult {
   double scalar_cps = 0.0;
-  Cell event[3];  // widths 64 / 256 / 512, event-driven settle
-  Cell full[3];   // widths 64 / 256 / 512, full-topo settle
+  Cell wide[3];  // widths 64 / 256 / 512
   double batched_cps = 0.0;        // 4096 replicas, widest width, RCARB_JOBS
-  double event_eval_fraction = 0.0;  // event evals / full evals at 512 lanes
+  double event_eval_fraction = 0.0;  // evals / full-pass evals at 512 lanes
   std::uint64_t folded = 0;          // the shared 512-replica checksum fold
   bool checksums_match = false;
 };
@@ -171,22 +185,16 @@ ConfigResult measure_config(const Netlist& nl, int n, std::uint64_t seed) {
 
   bool match = true;
   for (std::size_t w = 0; w < 3; ++w) {
-    res.event[w] = run_cell(spec, kWidths[w], SettleMode::kEventDriven);
-    res.full[w] = run_cell(spec, kWidths[w], SettleMode::kFullTopo);
-    // Event and full settle must agree replica for replica, and the scalar
-    // baseline must match the leading replicas of every width — a
-    // throughput number from a diverging simulator would be meaningless.
-    match = match && res.event[w].checksums == res.full[w].checksums;
+    res.wide[w] = run_cell(spec, kWidths[w]);
+    // The scalar baseline must match the leading replicas of every width —
+    // a throughput number from a diverging simulator would be meaningless.
     for (std::size_t r = 0; r < kScalarReplicas; ++r)
-      match = match && res.event[w].checksums[r] == scalar_checksums[r];
-    match = match && res.event[w].folded == res.event[0].folded;
+      match = match && res.wide[w].checksums[r] == scalar_checksums[r];
+    match = match && res.wide[w].folded == res.wide[0].folded;
   }
-  res.folded = res.event[0].folded;
-  res.event_eval_fraction =
-      res.full[2].luts_evaluated == 0
-          ? 0.0
-          : static_cast<double>(res.event[2].luts_evaluated) /
-                static_cast<double>(res.full[2].luts_evaluated);
+  res.folded = res.wide[0].folded;
+  res.event_eval_fraction = static_cast<double>(res.wide[2].luts_evaluated) /
+                            static_cast<double>(full_pass_evals(spec, 512));
 
   // The threaded campaign cell: 4096 replicas at the widest width, batch
   // workers on $RCARB_JOBS.  Same stream, fresh SEU draw per replica.
@@ -241,7 +249,7 @@ int report_throughput(obs::BenchReporter& rep) {
   rep.note("simd_tier", to_string(simd_tier()));
   Table table("simulation throughput — " + std::to_string(kReplicas) +
               " SEU replicas x " + std::to_string(kCycles) +
-              " cycles (lane-cycles/sec, event-driven | full settle)");
+              " cycles (lane-cycles/sec)");
   table.set_header({"netlist", "LUTs", "scalar", "w64", "w256", "w512",
                     "256/64", "512/64", "batched", "evals/s", "fold%",
                     "event%"});
@@ -252,40 +260,36 @@ int report_throughput(obs::BenchReporter& rep) {
     const ConfigResult r =
         measure_config(*cfg.nl, cfg.n, derive_seed(kSeed, i));
     all_match = all_match && r.checksums_match;
-    const double w256_x = r.event[1].cps / r.event[0].cps;
-    const double w512_x = r.event[2].cps / r.event[0].cps;
-    const double batched_x = r.batched_cps / r.event[0].cps;
-    auto cell = [](const Cell& ev, const Cell& fu) {
-      return fmt_fixed(ev.cps / 1e6, 0) + "|" + fmt_fixed(fu.cps / 1e6, 0) +
-             "M";
-    };
+    const double w256_x = r.wide[1].cps / r.wide[0].cps;
+    const double w512_x = r.wide[2].cps / r.wide[0].cps;
+    const double batched_x = r.batched_cps / r.wide[0].cps;
+    auto cell = [](const Cell& c) { return fmt_fixed(c.cps / 1e6, 0) + "M"; };
     table.add_row({cfg.name, std::to_string(cfg.nl->num_luts()),
-                   fmt_fixed(r.scalar_cps / 1e6, 2) + "M",
-                   cell(r.event[0], r.full[0]), cell(r.event[1], r.full[1]),
-                   cell(r.event[2], r.full[2]), fmt_fixed(w256_x, 1) + "x",
+                   fmt_fixed(r.scalar_cps / 1e6, 2) + "M", cell(r.wide[0]),
+                   cell(r.wide[1]), cell(r.wide[2]), fmt_fixed(w256_x, 1) + "x",
                    fmt_fixed(w512_x, 1) + "x",
                    fmt_fixed(r.batched_cps / 1e6, 0) + "M",
-                   fmt_fixed(r.event[2].evals_per_sec / 1e6, 0) + "M",
-                   fmt_fixed(r.event[2].fold_share * 100.0, 1) + "%",
+                   fmt_fixed(r.wide[2].evals_per_sec / 1e6, 0) + "M",
+                   fmt_fixed(r.wide[2].fold_share * 100.0, 1) + "%",
                    fmt_fixed(r.event_eval_fraction * 100.0, 1) + "%"});
     // The folded per-replica checksum of the shared 512-replica batch —
-    // identical across engines, widths, settle modes, SIMD tiers and job
-    // counts.  CI reruns the bench under forced $RCARB_SIMD / $RCARB_JOBS
-    // and diffs these notes.
+    // identical across engines, widths, SIMD tiers and job counts.  CI
+    // reruns the bench under forced $RCARB_SIMD / $RCARB_JOBS and diffs
+    // these notes.
     rep.note("checksum_" + cfg.name, hex64(r.folded));
     if (cfg.name == "n3_hardened") {
       // The headline acceptance numbers on the campaign-shaped batch.
       rep.metric("scalar_cycles_per_sec", r.scalar_cps, "cycles/s");
-      rep.metric("lane_cycles_per_sec", r.event[0].cps, "cycles/s");
-      rep.metric("speedup_x", r.event[0].cps / r.scalar_cps, "x");
-      rep.metric("w256_lane_cycles_per_sec", r.event[1].cps, "cycles/s");
-      rep.metric("w512_lane_cycles_per_sec", r.event[2].cps, "cycles/s");
-      rep.metric("host_fold_share", r.event[2].fold_share, "ratio");
+      rep.metric("lane_cycles_per_sec", r.wide[0].cps, "cycles/s");
+      rep.metric("speedup_x", r.wide[0].cps / r.scalar_cps, "x");
+      rep.metric("w256_lane_cycles_per_sec", r.wide[1].cps, "cycles/s");
+      rep.metric("w512_lane_cycles_per_sec", r.wide[2].cps, "cycles/s");
+      rep.metric("host_fold_share", r.wide[2].fold_share, "ratio");
       rep.metric("w256_over_w64_x", w256_x, "x");
       rep.metric("w512_over_w64_x", w512_x, "x");
       rep.metric("batched_lane_cycles_per_sec", r.batched_cps, "cycles/s");
       rep.metric("batched_over_w64_x", batched_x, "x");
-      rep.metric("lut_evals_per_sec", r.event[2].evals_per_sec, "evals/s");
+      rep.metric("lut_evals_per_sec", r.wide[2].evals_per_sec, "evals/s");
       rep.metric("event_eval_fraction", r.event_eval_fraction, "ratio");
     } else {
       rep.metric(cfg.name + "_w512_over_w64_x", w512_x, "x");
@@ -299,7 +303,7 @@ int report_throughput(obs::BenchReporter& rep) {
                "$RCARB_JOBS workers at the widest width");
   table.print();
   if (!all_match) {
-    std::fputs("scalar/wide/event/full checksums diverged\n", stderr);
+    std::fputs("scalar/wide checksums diverged\n", stderr);
     return 1;
   }
   std::puts(
@@ -307,7 +311,8 @@ int report_throughput(obs::BenchReporter& rep) {
       "LUT mux-tree fold per dirty LUT (1, 4 or 8 SIMD words) instead of\n"
       "`lanes` scalar topo passes.  fold% is the host share of the 512-lane\n"
       "pass spent folding grant chunks into checksums, timed apart from the\n"
-      "kernel figures.\n");
+      "kernel figures.  event% is the LUT evaluations the 512-lane pass made,\n"
+      "as a share of one full topo pass per settle.\n");
   return 0;
 }
 
@@ -332,7 +337,7 @@ void BM_ScalarReplicaBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarReplicaBatch)->Arg(3);
 
-/// One grid cell as a google-benchmark: args are (ports, lanes, mode).
+/// One grid cell as a google-benchmark: args are (ports, lanes).
 void BM_WideReplicaBatch(benchmark::State& state) {
   const auto& g = core::generate_arbiter_cached(
                         {.n = static_cast<int>(state.range(0)),
@@ -344,8 +349,6 @@ void BM_WideReplicaBatch(benchmark::State& state) {
       make_spec(g.netlist, static_cast<int>(state.range(0)), kSeed, lanes);
   fault::ReplicaBatchOptions opt;
   opt.lanes = lanes;
-  opt.mode = state.range(2) == 0 ? SettleMode::kEventDriven
-                                 : SettleMode::kFullTopo;
   opt.jobs = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(fault::run_replica_batch(spec, opt).folded);
@@ -356,12 +359,7 @@ void BM_WideReplicaBatch(benchmark::State& state) {
   state.SetLabel(std::string("simd=") +
                  to_string(fault::run_replica_batch(spec, probe).kernel_tier));
 }
-BENCHMARK(BM_WideReplicaBatch)
-    ->Args({3, 64, 0})
-    ->Args({3, 64, 1})
-    ->Args({3, 256, 0})
-    ->Args({3, 512, 0})
-    ->Args({3, 512, 1});
+BENCHMARK(BM_WideReplicaBatch)->Args({3, 64})->Args({3, 256})->Args({3, 512});
 
 }  // namespace
 

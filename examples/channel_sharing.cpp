@@ -82,7 +82,9 @@ int main() {
               static_cast<unsigned long long>(result.clobbered_reads));
   for (int i = 0; i < 3; ++i)
     std::printf("  consumer %d received %lld (expected %d)\n", i,
-                static_cast<long long>(sim.segment_data(out)[i]), 100 + i);
+                static_cast<long long>(
+                    sim.segment_data(out)[static_cast<std::size_t>(i)]),
+                100 + i);
   std::printf(
       "\nall transfers arrive intact over the shared wires: the receiving-\n"
       "end registers (Fig. 3) plus the request/grant protocol do the work.\n");

@@ -127,8 +127,7 @@ BatchOut run_one_batch(const ReplicaBatchSpec& spec,
   }
   std::ranges::stable_sort(pokes, {}, &LanePoke::cycle);
 
-  WideLaneSimulator sim(*spec.netlist, options.lanes, options.mode,
-                        options.tier);
+  WideLaneSimulator sim(*spec.netlist, options.lanes, options.tier);
   const std::size_t words = sim.words();
   // One chunk of grant rows, row (cycle % chunk_cycles) * grants + i: a few
   // KB at 512 lanes, so capture and fold stay in L1.

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "netlist/simulator.hpp"
 #include "netlist/wide_simulator.hpp"
 #include "support/cpu.hpp"
 
@@ -57,7 +56,6 @@ struct ReplicaBatchSpec {
 struct ReplicaBatchOptions {
   /// Lanes per simulator pass: a multiple of 64 in [64, 512].
   std::size_t lanes = netlist::WideLaneSimulator::kMaxLanes;
-  netlist::SettleMode mode = netlist::SettleMode::kEventDriven;
   /// Caps the SIMD kernel (default: the machine tier under $RCARB_SIMD).
   std::optional<SimdTier> tier;
   /// Worker threads for the batch fan-out: 0 = $RCARB_JOBS default,

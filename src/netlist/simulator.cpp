@@ -1,70 +1,36 @@
 #include "netlist/simulator.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "support/check.hpp"
 
 namespace rcarb::netlist {
 
-Simulator::Simulator(const Netlist& netlist, SettleMode mode)
+Simulator::Simulator(const Netlist& netlist)
     : netlist_(netlist),
-      mode_(mode),
       topo_(netlist.lut_topo_order()),
       value_(netlist.num_nets(), 0),
       dff_sample_(netlist.num_dffs(), 0) {
-  if (mode_ == SettleMode::kEventDriven) {
-    fanouts_ = netlist.lut_fanouts();
-    rank_of_lut_.resize(netlist.num_luts());
-    for (std::size_t rank = 0; rank < topo_.size(); ++rank)
-      rank_of_lut_[topo_[rank]] = static_cast<std::uint32_t>(rank);
-    queued_.assign(netlist.num_luts(), 0);
-    dirty_heap_.reserve(netlist.num_luts());
-  }
   reset();
 }
 
 void Simulator::reset() {
   std::fill(value_.begin(), value_.end(), 0);
   for (const Dff& dff : netlist_.dffs()) value_[dff.q] = dff.init ? 1 : 0;
-  // A wholesale state overwrite invalidates any incremental bookkeeping;
-  // start the event-driven simulator from a proven full pass.
-  full_resettle_pending_ = true;
   settle();
 }
 
 void Simulator::set_input(NetId net, bool value) {
   RCARB_CHECK(netlist_.driver_kind(net) == DriverKind::kPrimaryInput,
               "set_input on a non-input net");
-  const char v = value ? 1 : 0;
-  if (value_[net] == v) return;
-  value_[net] = v;
-  if (mode_ == SettleMode::kEventDriven) mark_fanouts_dirty(net);
+  value_[net] = value ? 1 : 0;
 }
 
 void Simulator::set_input(const std::string& name, bool value) {
   set_input(resolve(name, "unknown input net: "), value);
 }
 
-void Simulator::mark_fanouts_dirty(NetId net) {
-  for (std::uint32_t lut : fanouts_[net]) {
-    if (queued_[lut]) continue;
-    queued_[lut] = 1;
-    dirty_heap_.push_back(rank_of_lut_[lut]);
-    std::push_heap(dirty_heap_.begin(), dirty_heap_.end(),
-                   std::greater<std::uint32_t>{});
-  }
-}
-
 void Simulator::settle() {
-  if (mode_ == SettleMode::kFullTopo || full_resettle_pending_) {
-    settle_full();
-  } else {
-    settle_event();
-  }
-}
-
-void Simulator::settle_full() {
   for (std::size_t i : topo_) {
     const Lut& lut = netlist_.luts()[i];
     std::uint64_t row = 0;
@@ -74,60 +40,21 @@ void Simulator::settle_full() {
   }
   luts_evaluated_ += topo_.size();
   ++full_settles_;
-  // Everything has been re-evaluated, so pending dirty marks are stale.
-  if (mode_ == SettleMode::kEventDriven) {
-    for (std::uint32_t rank : dirty_heap_) queued_[topo_[rank]] = 0;
-    dirty_heap_.clear();
-    full_resettle_pending_ = false;
-  }
-}
-
-void Simulator::settle_event() {
-  // Drain dirty LUTs in topological rank order: every LUT is evaluated
-  // after all of its dirty predecessors, so one visit per LUT suffices.
-  while (!dirty_heap_.empty()) {
-    std::pop_heap(dirty_heap_.begin(), dirty_heap_.end(),
-                  std::greater<std::uint32_t>{});
-    const std::size_t i = topo_[dirty_heap_.back()];
-    dirty_heap_.pop_back();
-    queued_[i] = 0;
-    const Lut& lut = netlist_.luts()[i];
-    std::uint64_t row = 0;
-    for (std::size_t b = 0; b < lut.inputs.size(); ++b)
-      if (value_[lut.inputs[b]]) row |= std::uint64_t{1} << b;
-    const char out = static_cast<char>((lut.mask >> row) & 1u);
-    ++luts_evaluated_;
-    if (value_[lut.output] == out) continue;
-    value_[lut.output] = out;
-    mark_fanouts_dirty(lut.output);
-  }
-  ++event_settles_;
 }
 
 void Simulator::clock() {
   // Sample every d first so the update is simultaneous.
   for (std::size_t i = 0; i < netlist_.num_dffs(); ++i)
     dff_sample_[i] = value_[netlist_.dffs()[i].d];
-  for (std::size_t i = 0; i < netlist_.num_dffs(); ++i) {
-    const Dff& dff = netlist_.dffs()[i];
-    if (value_[dff.q] == dff_sample_[i]) continue;
-    value_[dff.q] = dff_sample_[i];
-    if (mode_ == SettleMode::kEventDriven) mark_fanouts_dirty(dff.q);
-  }
+  for (std::size_t i = 0; i < netlist_.num_dffs(); ++i)
+    value_[netlist_.dffs()[i].q] = dff_sample_[i];
   settle();
 }
 
 void Simulator::poke_register(NetId net, bool value) {
   RCARB_CHECK(netlist_.driver_kind(net) == DriverKind::kDff,
               "poke_register on a non-register net");
-  // A poked q net dirties exactly its fanout cone — the same discipline
-  // clock() applies when that register changes — so event-driven settling
-  // stays incremental across fault injection.
-  const char poked = value ? 1 : 0;
-  if (value_[net] != poked) {
-    value_[net] = poked;
-    if (mode_ == SettleMode::kEventDriven) mark_fanouts_dirty(net);
-  }
+  value_[net] = value ? 1 : 0;
   settle();
 }
 

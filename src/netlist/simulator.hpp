@@ -4,16 +4,10 @@
 // current primary inputs and register outputs (so Mealy outputs can be read
 // the same cycle), clock() then latches every DFF simultaneously.
 //
-// Two settle strategies are available:
-//   * kFullTopo    — every settle() re-evaluates every LUT in topological
-//     order (the proven baseline; always correct).
-//   * kEventDriven — settle() only evaluates LUTs downstream of nets that
-//     actually changed (a dirty worklist drained in topological order,
-//     seeded from set_input / clock / poke_register via the netlist's
-//     per-net fanout lists).
-// Both produce bit-identical values: a LUT is pure, and evaluating a
-// superset of the dirty LUTs in topological order reaches the same fixed
-// point.
+// Every settle() re-evaluates every LUT in topological order.  This is the
+// independent oracle the wide-lane engine (wide_simulator.hpp) is tested
+// against, so it keeps the one strategy that is correct by construction:
+// no dirty tracking, nothing that can miss a LUT.
 #pragma once
 
 #include <cstdint>
@@ -24,18 +18,14 @@
 
 namespace rcarb::netlist {
 
-/// How settle() propagates combinational logic (see file comment).
-enum class SettleMode : std::uint8_t { kFullTopo, kEventDriven };
-
 /// Simulates a Netlist cycle by cycle, one scenario at a time.
 class Simulator {
  public:
   /// Captures the topological order; the netlist must outlive the simulator
   /// and must not be mutated afterwards.
-  explicit Simulator(const Netlist& netlist,
-                     SettleMode mode = SettleMode::kFullTopo);
+  explicit Simulator(const Netlist& netlist);
 
-  /// Returns all DFFs to their init values and re-settles (full pass).
+  /// Returns all DFFs to their init values and re-settles.
   void reset();
 
   /// Sets a primary input (takes effect on the next settle()).
@@ -49,9 +39,7 @@ class Simulator {
   void clock();
 
   /// Fault injection: overwrites a DFF's q value (an SEU in the register)
-  /// and re-settles so downstream logic sees the corrupted state.  Event-
-  /// driven simulators seed the dirty heap with the poked DFF's fanout
-  /// cone (the same rule clock() applies to a changed register).
+  /// and re-settles so downstream logic sees the corrupted state.
   void poke_register(NetId net, bool value);
   void poke_register(const std::string& name, bool value);
 
@@ -64,39 +52,25 @@ class Simulator {
   /// once, outside the loop — the regression tests pin this counter flat
   /// across the cycle loop.
   [[nodiscard]] std::uint64_t name_lookups() const { return name_lookups_; }
-  /// LUT evaluations since construction (event-driven settles evaluate
-  /// strictly fewer LUTs than topo passes on quiet inputs).
+  /// LUT evaluations since construction: num_luts() per settle.
   [[nodiscard]] std::uint64_t luts_evaluated() const {
     return luts_evaluated_;
   }
-  /// Full topo passes / event-driven (incremental) settles performed.
+  /// Topo passes (settles) performed.
   [[nodiscard]] std::uint64_t full_settles() const { return full_settles_; }
-  [[nodiscard]] std::uint64_t event_settles() const { return event_settles_; }
 
  private:
   [[nodiscard]] NetId resolve(const std::string& name,
                               const char* what) const;
-  void mark_fanouts_dirty(NetId net);
-  void settle_full();
-  void settle_event();
 
   const Netlist& netlist_;
-  SettleMode mode_;
   std::vector<std::size_t> topo_;
   std::vector<char> value_;       // per net
   std::vector<char> dff_sample_;  // clock() staging buffer (hoisted)
 
-  // Event-driven state (empty in kFullTopo mode).
-  std::vector<std::vector<std::uint32_t>> fanouts_;  // per net -> LUT indices
-  std::vector<std::uint32_t> rank_of_lut_;           // LUT index -> topo rank
-  std::vector<std::uint32_t> dirty_heap_;            // min-heap of topo ranks
-  std::vector<char> queued_;                         // per LUT: in heap?
-  bool full_resettle_pending_ = true;
-
   mutable std::uint64_t name_lookups_ = 0;
   std::uint64_t luts_evaluated_ = 0;
   std::uint64_t full_settles_ = 0;
-  std::uint64_t event_settles_ = 0;
 };
 
 }  // namespace rcarb::netlist

@@ -42,10 +42,9 @@ struct Avx2Word {
 }  // namespace
 
 std::unique_ptr<WideSimBase> make_wide_sim_avx2(const Netlist& nl,
-                                                std::size_t lanes,
-                                                SettleMode mode) {
+                                                std::size_t lanes) {
   if (lanes != Avx2Word::kWords * 64) return nullptr;
-  return std::make_unique<WideSimImpl<Avx2Word>>(nl, lanes, mode);
+  return std::make_unique<WideSimImpl<Avx2Word>>(nl, lanes);
 }
 
 }  // namespace rcarb::netlist::detail
@@ -54,8 +53,7 @@ std::unique_ptr<WideSimBase> make_wide_sim_avx2(const Netlist& nl,
 
 namespace rcarb::netlist::detail {
 
-std::unique_ptr<WideSimBase> make_wide_sim_avx2(const Netlist&, std::size_t,
-                                                SettleMode) {
+std::unique_ptr<WideSimBase> make_wide_sim_avx2(const Netlist&, std::size_t) {
   return nullptr;
 }
 

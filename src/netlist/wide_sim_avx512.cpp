@@ -41,10 +41,9 @@ struct Avx512Word {
 }  // namespace
 
 std::unique_ptr<WideSimBase> make_wide_sim_avx512(const Netlist& nl,
-                                                  std::size_t lanes,
-                                                  SettleMode mode) {
+                                                  std::size_t lanes) {
   if (lanes != Avx512Word::kWords * 64) return nullptr;
-  return std::make_unique<WideSimImpl<Avx512Word>>(nl, lanes, mode);
+  return std::make_unique<WideSimImpl<Avx512Word>>(nl, lanes);
 }
 
 }  // namespace rcarb::netlist::detail
@@ -54,7 +53,7 @@ std::unique_ptr<WideSimBase> make_wide_sim_avx512(const Netlist& nl,
 namespace rcarb::netlist::detail {
 
 std::unique_ptr<WideSimBase> make_wide_sim_avx512(const Netlist&,
-                                                  std::size_t, SettleMode) {
+                                                  std::size_t) {
   return nullptr;
 }
 

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "netlist/simulator.hpp"  // SettleMode
 
 namespace rcarb::netlist::detail {
 
@@ -67,10 +66,10 @@ struct SoaNetlist {
   std::vector<std::uint8_t> dff_init;
 };
 
-/// Width- and ISA-agnostic part of the wide engine: SoA view, settle-mode
-/// state, the dirty-LUT bitmask, and the instrumentation counters.  The
-/// virtual API mirrors WideLaneSimulator minus name resolution and
-/// argument checking (the front end owns both).
+/// Width- and ISA-agnostic part of the wide engine: SoA view, the
+/// pending-full-pass flag, the dirty-LUT bitmask, and the instrumentation
+/// counters.  The virtual API mirrors WideLaneSimulator minus name
+/// resolution and argument checking (the front end owns both).
 class WideSimBase {
  public:
   virtual ~WideSimBase();
@@ -95,12 +94,11 @@ class WideSimBase {
   [[nodiscard]] std::uint64_t event_settles() const { return event_settles_; }
 
  protected:
-  WideSimBase(const Netlist& nl, std::size_t lanes, SettleMode mode);
+  WideSimBase(const Netlist& nl, std::size_t lanes);
 
-  /// Marks every LUT reading `net` dirty (event mode only; the bitmask is
-  /// empty-sized otherwise, so callers must gate on mode_ — write_net
-  /// does).  Out-of-line in the baseline TU on purpose: it must never be
-  /// COMDAT-emitted from an AVX translation unit.
+  /// Marks every LUT reading `net` dirty.  Out-of-line in the baseline TU
+  /// on purpose: it must never be COMDAT-emitted from an AVX translation
+  /// unit.
   void mark_fanouts_dirty(NetId net);
   /// Zeroes the bitmask after a full pass consumed the dirt wholesale.
   void clear_dirty();
@@ -108,7 +106,7 @@ class WideSimBase {
   SoaNetlist soa_;
   std::size_t lanes_;
   std::size_t words_;
-  SettleMode mode_;
+  /// Set by reset(): the next settle is one full topo pass.
   bool full_resettle_pending_ = true;
 
   std::uint64_t luts_evaluated_ = 0;
@@ -127,14 +125,11 @@ class WideSimBase {
 // matching ISA flag *and* the lane count matches their word width — the
 // caller performs the cpuid gate before calling them.
 std::unique_ptr<WideSimBase> make_wide_sim_portable(const Netlist& nl,
-                                                    std::size_t lanes,
-                                                    SettleMode mode);
+                                                    std::size_t lanes);
 std::unique_ptr<WideSimBase> make_wide_sim_avx2(const Netlist& nl,
-                                                std::size_t lanes,
-                                                SettleMode mode);
+                                                std::size_t lanes);
 std::unique_ptr<WideSimBase> make_wide_sim_avx512(const Netlist& nl,
-                                                  std::size_t lanes,
-                                                  SettleMode mode);
+                                                  std::size_t lanes);
 
 /// The engine proper, templated on a lane-word type providing:
 ///   static constexpr std::size_t kWords;          // 64-lane words
@@ -143,15 +138,15 @@ std::unique_ptr<WideSimBase> make_wide_sim_avx512(const Netlist& nl,
 ///   static Word load(const uint64_t*); static void store(Word, uint64_t*);
 ///   static Word mux(Word t0, Word t1, Word sel);  // (t0 & ~sel)|(t1 & sel)
 ///   static bool equal(Word, Word);
-/// Settle strategies and two-phase clocking match netlist::Simulator
-/// lane by lane, except pokes: a register poke seeds the dirty set with
-/// the poked DFF's fanout cone instead of scheduling a full topo
-/// resettle (the cone argument is the same as clock()'s).
+/// Two-phase clocking matches netlist::Simulator lane by lane; settling is
+/// event-driven.  Every net write that changes a row dirties the LUTs
+/// reading it — a primary input, a latched q, a poked register — and
+/// settle() evaluates only dirty LUTs, in topo order.  Only reset(), which
+/// overwrites every net at once, settles with one full topo pass.
 template <typename Word>
 class WideSimImpl final : public WideSimBase {
  public:
-  WideSimImpl(const Netlist& nl, std::size_t lanes, SettleMode mode)
-      : WideSimBase(nl, lanes, mode) {
+  WideSimImpl(const Netlist& nl, std::size_t lanes) : WideSimBase(nl, lanes) {
     value_.resize(soa_.num_nets, Word::zero());
     dff_sample_.resize(soa_.num_dffs, Word::zero());
     WideSimImpl::reset();
@@ -173,7 +168,7 @@ class WideSimImpl final : public WideSimBase {
   }
 
   void settle() override {
-    if (mode_ == SettleMode::kFullTopo || full_resettle_pending_) {
+    if (full_resettle_pending_) {
       settle_full();
     } else {
       settle_event();
@@ -208,7 +203,7 @@ class WideSimImpl final : public WideSimBase {
     Word* value = value_.data();
     if (Word::equal(value[net], w)) return;
     value[net] = w;
-    if (mode_ == SettleMode::kEventDriven) mark_fanouts_dirty(net);
+    mark_fanouts_dirty(net);
   }
 
   [[nodiscard]] Word eval_lut(std::uint32_t pos) const {
@@ -245,10 +240,8 @@ class WideSimImpl final : public WideSimBase {
       value[out[p]] = eval_lut(p);
     luts_evaluated_ += soa_.num_luts;
     ++full_settles_;
-    if (mode_ == SettleMode::kEventDriven) {
-      clear_dirty();
-      full_resettle_pending_ = false;
-    }
+    clear_dirty();
+    full_resettle_pending_ = false;
   }
 
   void settle_event() {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 #include "netlist/wide_sim_impl.hpp"
 #include "support/check.hpp"
@@ -70,12 +69,11 @@ SoaNetlist::SoaNetlist(const Netlist& nl)
 
 WideSimBase::~WideSimBase() = default;
 
-WideSimBase::WideSimBase(const Netlist& nl, std::size_t lanes,
-                         SettleMode mode)
-    : soa_(nl), lanes_(lanes), words_(lanes / 64), mode_(mode) {
-  if (mode_ == SettleMode::kEventDriven)
-    dirty_bits_.assign((std::size_t{soa_.num_luts} + 63) / 64, 0);
-}
+WideSimBase::WideSimBase(const Netlist& nl, std::size_t lanes)
+    : soa_(nl),
+      lanes_(lanes),
+      words_(lanes / 64),
+      dirty_bits_((std::size_t{soa_.num_luts} + 63) / 64, 0) {}
 
 void WideSimBase::mark_fanouts_dirty(NetId net) {
   const std::uint32_t begin = soa_.fanout_begin[net];
@@ -141,25 +139,24 @@ struct PortableWord {
 }  // namespace
 
 std::unique_ptr<WideSimBase> make_wide_sim_portable(const Netlist& nl,
-                                                    std::size_t lanes,
-                                                    SettleMode mode) {
+                                                    std::size_t lanes) {
   switch (lanes / 64) {
     case 1:
-      return std::make_unique<WideSimImpl<PortableWord<1>>>(nl, lanes, mode);
+      return std::make_unique<WideSimImpl<PortableWord<1>>>(nl, lanes);
     case 2:
-      return std::make_unique<WideSimImpl<PortableWord<2>>>(nl, lanes, mode);
+      return std::make_unique<WideSimImpl<PortableWord<2>>>(nl, lanes);
     case 3:
-      return std::make_unique<WideSimImpl<PortableWord<3>>>(nl, lanes, mode);
+      return std::make_unique<WideSimImpl<PortableWord<3>>>(nl, lanes);
     case 4:
-      return std::make_unique<WideSimImpl<PortableWord<4>>>(nl, lanes, mode);
+      return std::make_unique<WideSimImpl<PortableWord<4>>>(nl, lanes);
     case 5:
-      return std::make_unique<WideSimImpl<PortableWord<5>>>(nl, lanes, mode);
+      return std::make_unique<WideSimImpl<PortableWord<5>>>(nl, lanes);
     case 6:
-      return std::make_unique<WideSimImpl<PortableWord<6>>>(nl, lanes, mode);
+      return std::make_unique<WideSimImpl<PortableWord<6>>>(nl, lanes);
     case 7:
-      return std::make_unique<WideSimImpl<PortableWord<7>>>(nl, lanes, mode);
+      return std::make_unique<WideSimImpl<PortableWord<7>>>(nl, lanes);
     case 8:
-      return std::make_unique<WideSimImpl<PortableWord<8>>>(nl, lanes, mode);
+      return std::make_unique<WideSimImpl<PortableWord<8>>>(nl, lanes);
     default:
       return nullptr;
   }
@@ -168,7 +165,7 @@ std::unique_ptr<WideSimBase> make_wide_sim_portable(const Netlist& nl,
 }  // namespace detail
 
 WideLaneSimulator::WideLaneSimulator(const Netlist& netlist,
-                                     std::size_t lanes, SettleMode mode,
+                                     std::size_t lanes,
                                      std::optional<SimdTier> tier)
     : netlist_(&netlist), lanes_(lanes), words_(lanes / 64) {
   RCARB_CHECK(lanes >= 64 && lanes <= kMaxLanes && lanes % 64 == 0,
@@ -179,14 +176,14 @@ WideLaneSimulator::WideLaneSimulator(const Netlist& netlist,
   const SimdTier cap = simd_tier();
   tier_ = std::min(tier.value_or(cap), cap);
   if (words_ == 4 && tier_ >= SimdTier::kAvx2) {
-    impl_ = detail::make_wide_sim_avx2(netlist, lanes, mode);
+    impl_ = detail::make_wide_sim_avx2(netlist, lanes);
     if (impl_) tier_ = SimdTier::kAvx2;
   } else if (words_ == 8 && tier_ >= SimdTier::kAvx512) {
-    impl_ = detail::make_wide_sim_avx512(netlist, lanes, mode);
+    impl_ = detail::make_wide_sim_avx512(netlist, lanes);
     if (impl_) tier_ = SimdTier::kAvx512;
   }
   if (!impl_) {
-    impl_ = detail::make_wide_sim_portable(netlist, lanes, mode);
+    impl_ = detail::make_wide_sim_portable(netlist, lanes);
     tier_ = SimdTier::kScalar;
   }
   RCARB_CHECK(impl_ != nullptr, "no wide-lane kernel for this width");
@@ -221,15 +218,8 @@ void WideLaneSimulator::set_input_lane(NetId net, std::size_t lane,
                                        bool value) {
   RCARB_CHECK(netlist_->driver_kind(net) == DriverKind::kPrimaryInput,
               "set_input on a non-input net");
-  RCARB_CHECK(lane < lanes_, "lane out of range");
   std::uint64_t row[kMaxLanes / 64];
-  impl_->get_word(net, row);
-  const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
-  if (value) {
-    row[lane / 64] |= bit;
-  } else {
-    row[lane / 64] &= ~bit;
-  }
+  row_with_lane(net, lane, value, row);
   impl_->set_input_word(net, row);
 }
 
@@ -247,15 +237,8 @@ void WideLaneSimulator::poke_register_lane(NetId net, std::size_t lane,
                                            bool value) {
   RCARB_CHECK(netlist_->driver_kind(net) == DriverKind::kDff,
               "poke_register on a non-register net");
-  RCARB_CHECK(lane < lanes_, "lane out of range");
   std::uint64_t row[kMaxLanes / 64];
-  impl_->get_word(net, row);
-  const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
-  if (value) {
-    row[lane / 64] |= bit;
-  } else {
-    row[lane / 64] &= ~bit;
-  }
+  row_with_lane(net, lane, value, row);
   impl_->poke_register_word(net, row);
 }
 
@@ -291,6 +274,18 @@ std::uint64_t WideLaneSimulator::full_settles() const {
 
 std::uint64_t WideLaneSimulator::event_settles() const {
   return impl_->event_settles();
+}
+
+void WideLaneSimulator::row_with_lane(NetId net, std::size_t lane, bool value,
+                                      std::uint64_t* row) const {
+  RCARB_CHECK(lane < lanes_, "lane out of range");
+  impl_->get_word(net, row);
+  const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
+  if (value) {
+    row[lane / 64] |= bit;
+  } else {
+    row[lane / 64] &= ~bit;
+  }
 }
 
 NetId WideLaneSimulator::resolve(const std::string& name,

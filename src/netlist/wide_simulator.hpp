@@ -20,9 +20,10 @@
 // lane never observes another lane's bits, and the cross-width test suite
 // pins scalar vs 64/256/512-lane checksums to exact equality.
 //
-// Register pokes do *not* schedule a full topo resettle in event-driven
-// mode: the poked DFF's fanout cone seeds the dirty heap, exactly as a
-// clock() edge would for that q net.
+// Settling is event-driven: a settle evaluates only the LUTs downstream of
+// nets whose rows changed since the last settle, in topological order.
+// Register pokes dirty the poked DFF's fanout cone, exactly as a clock()
+// edge would for that q net.  Only reset() settles with one full topo pass.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,6 @@
 #include <string>
 
 #include "netlist/netlist.hpp"
-#include "netlist/simulator.hpp"  // SettleMode
 #include "support/cpu.hpp"
 
 namespace rcarb::netlist {
@@ -54,7 +54,6 @@ class WideLaneSimulator {
   /// kernel exists for this width.  The netlist must outlive the
   /// simulator and must not be mutated afterwards.
   explicit WideLaneSimulator(const Netlist& netlist, std::size_t lanes = 64,
-                             SettleMode mode = SettleMode::kEventDriven,
                              std::optional<SimdTier> tier = std::nullopt);
   ~WideLaneSimulator();
   WideLaneSimulator(WideLaneSimulator&&) noexcept;
@@ -101,15 +100,21 @@ class WideLaneSimulator {
   [[nodiscard]] bool get_lane(const std::string& name,
                               std::size_t lane) const;
 
-  // ---- Instrumentation (same meanings as netlist::Simulator). ----
+  // ---- Instrumentation. ----
+  /// Name-based lookups since construction (as netlist::Simulator).
   [[nodiscard]] std::uint64_t name_lookups() const { return name_lookups_; }
+  /// LUT mux-tree folds since construction (one fold covers every lane).
   [[nodiscard]] std::uint64_t luts_evaluated() const;
+  /// Full topo passes (one per reset()) / event-driven settles performed.
   [[nodiscard]] std::uint64_t full_settles() const;
   [[nodiscard]] std::uint64_t event_settles() const;
 
  private:
   [[nodiscard]] NetId resolve(const std::string& name,
                               const char* what) const;
+  /// Writes `net`'s current row to `row` with `lane`'s bit set to `value`.
+  void row_with_lane(NetId net, std::size_t lane, bool value,
+                     std::uint64_t* row) const;
 
   const Netlist* netlist_;
   std::size_t lanes_ = 0;

@@ -178,7 +178,9 @@ TEST_P(SelfCheckModel, EverySingleBitUpsetRecoversOrRaisesErrorInOneClock) {
           // the transition function itself (e.g. a two-hot state whose
           // extra bit dies at the edge), so only the detection count is
           // guaranteed there.
-          if (mode == CheckMode::kDuplicate) ASSERT_GE(a.resyncs(), 1u);
+          if (mode == CheckMode::kDuplicate) {
+            ASSERT_GE(a.resyncs(), 1u);
+          }
           ASSERT_GE(a.error_cycles(), 1u);
           // One clock later the arbiter is clean again.
           a.step(all);
@@ -702,8 +704,9 @@ struct TwoPhysRig {
       conss.push_back(graph.add_task("q" + std::to_string(c), cons, 1));
     }
     for (int c = 0; c < 4; ++c)
-      graph.add_channel("ch" + std::to_string(c), 16, prods[c],
-                        conss[c]);
+      graph.add_channel("ch" + std::to_string(c), 16,
+                        prods[static_cast<std::size_t>(c)],
+                        conss[static_cast<std::size_t>(c)]);
     tasks = prods;
     tasks.insert(tasks.end(), conss.begin(), conss.end());
     binding.task_to_pe = {0, 1, 2, 3, 4, 5, 6, 7};
@@ -744,7 +747,8 @@ TEST(DegradeEndToEnd, StuckChannelRemergesOntoTheSurvivor) {
       << "movers and the survivor's own traffic must share one arbiter";
   EXPECT_EQ(r.protocol_violations, 0u);
   for (int c = 0; c < 4; ++c)
-    EXPECT_EQ(sim.segment_data(c), ref.segment_data(c))
+    EXPECT_EQ(sim.segment_data(static_cast<tg::SegmentId>(c)),
+              ref.segment_data(static_cast<tg::SegmentId>(c)))
         << "consumer " << c << " saw wrong data";
 }
 

@@ -1,14 +1,16 @@
-// Cross-width equivalence of the wide-lane engine: scalar Simulator vs
-// WideLaneSimulator at 64/256/512 lanes, across SIMD kernel tiers, across
-// full-topo and event-driven settling, under SEU pokes and mid-run
-// reset() — all bit-identical.  Plus the threaded replica-batch entry
-// point (fault::run_replica_batch): byte-identical checksums at 1/2/8
-// jobs and across lane widths, its streamed chunk fold against the scalar
-// oracle across grant counts and partial final chunks, its grant-count
-// check, and the support/cpu tier-resolution rules.
-// Last, the 64-lane lockstep suite: scalar full/event vs 64-lane full/event
-// engines under random requests and SEU pokes, event-mode poke cone
-// seeding, name-lookup-free cycle loops and request-trace replay.
+// Cross-width equivalence of the wide-lane engine: the scalar Simulator
+// (full topo pass per settle, the oracle) vs the event-driven
+// WideLaneSimulator at 64/256/512 lanes, across SIMD kernel tiers, under
+// SEU pokes and mid-run reset() — all bit-identical.  Plus the threaded
+// replica-batch entry point (fault::run_replica_batch): byte-identical
+// checksums at 1/2/8 jobs and across lane widths and tiers, every replica
+// against the scalar oracle, its streamed chunk fold across grant counts
+// and partial final chunks, its grant-count check, and the support/cpu
+// tier-resolution rules.
+// Last, the 64-lane lockstep suite: the 64-lane engine vs one scalar
+// oracle per lane under random requests and SEU pokes, event-driven
+// LUT-evaluation bounds, poke cone seeding, name-lookup-free cycle loops
+// and request-trace replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -99,7 +101,6 @@ bool lane_input_bit(std::uint64_t seed, std::size_t lane, int cycle,
 
 struct LaneRunConfig {
   std::size_t lanes = 64;
-  SettleMode mode = SettleMode::kEventDriven;
   std::optional<SimdTier> tier;
   int cycles = 120;
   int reset_at = -1;       // mid-run reset() cycle, -1 = never
@@ -111,7 +112,7 @@ struct LaneRunConfig {
 std::vector<std::uint64_t> run_wide(const Netlist& nl, const Ports& p,
                                     std::uint64_t seed,
                                     const LaneRunConfig& cfg) {
-  WideLaneSimulator sim(nl, cfg.lanes, cfg.mode, cfg.tier);
+  WideLaneSimulator sim(nl, cfg.lanes, cfg.tier);
   std::vector<std::uint64_t> checksum(cfg.lanes, 0);
   std::vector<std::uint64_t> row(sim.words());
   for (int cyc = 0; cyc < cfg.cycles; ++cyc) {
@@ -150,7 +151,7 @@ std::vector<std::uint64_t> run_wide(const Netlist& nl, const Ports& p,
 std::uint64_t run_scalar_lane(const Netlist& nl, const Ports& p,
                               std::uint64_t seed, std::size_t lane,
                               const LaneRunConfig& cfg) {
-  Simulator sim(nl, cfg.mode);
+  Simulator sim(nl);
   std::uint64_t checksum = 0;
   for (int cyc = 0; cyc < cfg.cycles; ++cyc) {
     if (cyc == cfg.reset_at) sim.reset();
@@ -170,49 +171,47 @@ std::uint64_t run_scalar_lane(const Netlist& nl, const Ports& p,
 }
 
 /// Asserts scalar-vs-wide and wide-vs-wide checksum equality for one
-/// netlist: widths 64/256/512 (auto tier + forced-portable), full-topo +
-/// event-driven, with SEU pokes and a mid-run reset.
+/// netlist: widths 64/256/512 (auto tier + forced-portable), with SEU
+/// pokes and a mid-run reset.  The scalar oracle settles with a full topo
+/// pass and the wide engine event-driven, so every lane also checks that
+/// the two strategies reach the same fixed point.
 void check_cross_width(const Netlist& nl, std::uint64_t seed) {
   const Ports p = collect_ports(nl);
   ASSERT_FALSE(p.observed.empty());
 
   LaneRunConfig cfg;
   cfg.reset_at = 57;
-  for (const SettleMode mode :
-       {SettleMode::kEventDriven, SettleMode::kFullTopo}) {
-    cfg.mode = mode;
-    std::vector<std::vector<std::uint64_t>> by_width;
-    for (const std::size_t lanes : {std::size_t{64}, std::size_t{256},
-                                    std::size_t{512}}) {
-      cfg.lanes = lanes;
-      cfg.tier = std::nullopt;  // auto: widest kernel this machine has
-      const std::vector<std::uint64_t> auto_tier = run_wide(nl, p, seed, cfg);
-      cfg.tier = SimdTier::kScalar;  // forced-portable kernel
-      const std::vector<std::uint64_t> portable = run_wide(nl, p, seed, cfg);
-      ASSERT_EQ(auto_tier, portable)
-          << "SIMD kernel diverged from the portable kernel at " << lanes
-          << " lanes";
-      by_width.push_back(auto_tier);
-    }
-    // Lane l must agree across widths (the stimulus is lane-derived).
-    for (std::size_t l = 0; l < 64; ++l) {
-      ASSERT_EQ(by_width[0][l], by_width[1][l]) << "64 vs 256, lane " << l;
-      ASSERT_EQ(by_width[0][l], by_width[2][l]) << "64 vs 512, lane " << l;
-    }
-    for (std::size_t l = 64; l < 256; ++l)
-      ASSERT_EQ(by_width[1][l], by_width[2][l]) << "256 vs 512, lane " << l;
-    // Scalar reference for sampled lanes, including high ones only the
-    // wider runs carry.
-    for (const std::size_t lane : {std::size_t{0}, std::size_t{63}}) {
-      ASSERT_EQ(run_scalar_lane(nl, p, seed, lane, cfg), by_width[0][lane])
-          << "scalar vs 64-lane, lane " << lane;
-    }
-    for (const std::size_t lane : {std::size_t{64}, std::size_t{200}})
-      ASSERT_EQ(run_scalar_lane(nl, p, seed, lane, cfg), by_width[1][lane])
-          << "scalar vs 256-lane, lane " << lane;
-    ASSERT_EQ(run_scalar_lane(nl, p, seed, 511, cfg), by_width[2][511])
-        << "scalar vs 512-lane, lane 511";
+  std::vector<std::vector<std::uint64_t>> by_width;
+  for (const std::size_t lanes : {std::size_t{64}, std::size_t{256},
+                                  std::size_t{512}}) {
+    cfg.lanes = lanes;
+    cfg.tier = std::nullopt;  // auto: widest kernel this machine has
+    const std::vector<std::uint64_t> auto_tier = run_wide(nl, p, seed, cfg);
+    cfg.tier = SimdTier::kScalar;  // forced-portable kernel
+    const std::vector<std::uint64_t> portable = run_wide(nl, p, seed, cfg);
+    ASSERT_EQ(auto_tier, portable)
+        << "SIMD kernel diverged from the portable kernel at " << lanes
+        << " lanes";
+    by_width.push_back(auto_tier);
   }
+  // Lane l must agree across widths (the stimulus is lane-derived).
+  for (std::size_t l = 0; l < 64; ++l) {
+    ASSERT_EQ(by_width[0][l], by_width[1][l]) << "64 vs 256, lane " << l;
+    ASSERT_EQ(by_width[0][l], by_width[2][l]) << "64 vs 512, lane " << l;
+  }
+  for (std::size_t l = 64; l < 256; ++l)
+    ASSERT_EQ(by_width[1][l], by_width[2][l]) << "256 vs 512, lane " << l;
+  // Scalar oracle for every 64-lane lane (each one pokes its own
+  // register, so together they cover every state bit), plus high lanes
+  // only the wider runs carry.
+  for (std::size_t lane = 0; lane < 64; ++lane)
+    ASSERT_EQ(run_scalar_lane(nl, p, seed, lane, cfg), by_width[0][lane])
+        << "scalar vs 64-lane, lane " << lane;
+  for (const std::size_t lane : {std::size_t{64}, std::size_t{200}})
+    ASSERT_EQ(run_scalar_lane(nl, p, seed, lane, cfg), by_width[1][lane])
+        << "scalar vs 256-lane, lane " << lane;
+  ASSERT_EQ(run_scalar_lane(nl, p, seed, 511, cfg), by_width[2][511])
+      << "scalar vs 512-lane, lane 511";
 }
 
 TEST(WideCrossWidth, RandomNetlistsAgreeAcrossWidthsTiersAndModes) {
@@ -254,8 +253,7 @@ TEST(WideKernel, DispatchReportsAtMostTheMachineTier) {
       EXPECT_EQ(sim.kernel_tier(), SimdTier::kAvx512);
     }
     // Forcing the portable kernel always sticks.
-    WideLaneSimulator forced(s.netlist, lanes, SettleMode::kEventDriven,
-                             SimdTier::kScalar);
+    WideLaneSimulator forced(s.netlist, lanes, SimdTier::kScalar);
     EXPECT_EQ(forced.kernel_tier(), SimdTier::kScalar);
   }
 }
@@ -265,24 +263,31 @@ TEST(WideEventDriven, SkipsCleanLutsAndPokesStayIncremental) {
   const Netlist& nl = g.synth.netlist;
   const Ports p = collect_ports(nl);
 
-  WideLaneSimulator full(nl, 256, SettleMode::kFullTopo);
-  WideLaneSimulator event(nl, 256, SettleMode::kEventDriven);
-  for (WideLaneSimulator* sim : {&full, &event}) {
-    sim->set_input_all(nl.inputs()[2], true);
-    for (int cyc = 0; cyc < 100; ++cyc) {
-      sim->settle();
-      sim->clock();
-    }
+  WideLaneSimulator event(nl, 256);
+  Simulator oracle(nl);  // every lane sees the same inputs
+  event.set_input_all(nl.inputs()[2], true);
+  oracle.set_input(nl.inputs()[2], true);
+  for (int cyc = 0; cyc < 100; ++cyc) {
+    event.settle();
+    event.clock();
+    oracle.settle();
+    oracle.clock();
   }
-  EXPECT_LT(event.luts_evaluated(), full.luts_evaluated());
-  EXPECT_GT(event.event_settles(), 0u);
+  // Only the constructor's reset() takes a full pass; the 200 settles
+  // after it skip clean LUTs, so they cost less than one pass each.
+  EXPECT_EQ(event.full_settles(), 1u);
+  EXPECT_EQ(event.event_settles(), 200u);
+  EXPECT_LT(event.luts_evaluated(), nl.num_luts() * 201);
 
   // A poke seeds the fanout cone — no full-resettle fallback.
   const std::uint64_t full_passes = event.full_settles();
   const std::uint64_t evals = event.luts_evaluated();
   event.poke_register_lane(p.state[0], 137, !event.get_lane(p.state[0], 137));
+  oracle.poke_register(p.state[0], !oracle.get(p.state[0]));
   EXPECT_EQ(event.full_settles(), full_passes);
   EXPECT_LT(event.luts_evaluated() - evals, nl.num_luts());
+  for (NetId net = 0; net < nl.num_nets(); ++net)
+    EXPECT_EQ(event.get_lane(net, 137), oracle.get(net)) << nl.net_name(net);
 }
 
 TEST(WideNameLookups, ResolvedIdLoopsDoNoStringHashing) {
@@ -329,6 +334,27 @@ fault::ReplicaBatchSpec campaign_spec(const Netlist& nl, int n,
   return spec;
 }
 
+/// Replica r of `spec` on the scalar Simulator, folded the way
+/// ReplicaBatchResult::checksums documents.
+std::uint64_t scalar_replica_checksum(const fault::ReplicaBatchSpec& spec,
+                                      std::size_t r) {
+  Simulator sim(*spec.netlist);
+  std::uint64_t checksum = 0;
+  for (std::size_t c = 0; c < spec.requests.size(); ++c) {
+    for (std::size_t i = 0; i < spec.req.size(); ++i)
+      sim.set_input(spec.req[i], (spec.requests[c] >> i) & 1);
+    sim.settle();
+    for (std::size_t i = 0; i < spec.grant.size(); ++i)
+      checksum = checksum * 31 + (sim.get(spec.grant[i]) ? i + 1 : 0);
+    if (spec.seu[r].cycle == c) {
+      const NetId net = spec.state[spec.seu[r].state_bit];
+      sim.poke_register(net, !sim.get(net));
+    }
+    sim.clock();
+  }
+  return checksum;
+}
+
 TEST(ReplicaBatch, ByteIdenticalAcrossJobsWidthsAndTiers) {
   const auto& s = core::generate_arbiter_cached(kHardened3).synth;
   // 300 replicas: not a multiple of any lane width, so every width
@@ -367,33 +393,10 @@ TEST(ReplicaBatch, ByteIdenticalAcrossJobsWidthsAndTiers) {
     EXPECT_EQ(r.checksums, serial.checksums) << "portable tier";
     EXPECT_EQ(r.folded, serial.folded) << "portable tier";
   }
-  {
-    fault::ReplicaBatchOptions opt = base;
-    opt.mode = SettleMode::kFullTopo;
-    const fault::ReplicaBatchResult r = fault::run_replica_batch(spec, opt);
-    EXPECT_EQ(r.checksums, serial.checksums) << "full-topo settle";
-  }
-}
-
-/// Replica r of `spec` on the scalar Simulator, folded the way
-/// ReplicaBatchResult::checksums documents.
-std::uint64_t scalar_replica_checksum(const fault::ReplicaBatchSpec& spec,
-                                      std::size_t r) {
-  Simulator sim(*spec.netlist);
-  std::uint64_t checksum = 0;
-  for (std::size_t c = 0; c < spec.requests.size(); ++c) {
-    for (std::size_t i = 0; i < spec.req.size(); ++i)
-      sim.set_input(spec.req[i], (spec.requests[c] >> i) & 1);
-    sim.settle();
-    for (std::size_t i = 0; i < spec.grant.size(); ++i)
-      checksum = checksum * 31 + (sim.get(spec.grant[i]) ? i + 1 : 0);
-    if (spec.seu[r].cycle == c) {
-      const NetId net = spec.state[spec.seu[r].state_bit];
-      sim.poke_register(net, !sim.get(net));
-    }
-    sim.clock();
-  }
-  return checksum;
+  // Every replica against the full-topo scalar oracle.
+  for (std::size_t r = 0; r < serial.checksums.size(); ++r)
+    EXPECT_EQ(serial.checksums[r], scalar_replica_checksum(spec, r))
+        << "replica " << r << " vs the scalar oracle";
 }
 
 TEST(ReplicaBatch, MatchesScalarSimulatorReplicas) {
@@ -551,22 +554,16 @@ ArbiterPorts resolve_arbiter_ports(const Netlist& nl, int n) {
   return p;
 }
 
-/// Drives all four engines with 64 distinct request streams and per-lane
-/// SEU pokes, asserting bit-identical outputs and state every cycle.
-/// Scalar engines are only run for a few sampled lanes (64 scalar replicas
-/// of every config would dominate suite runtime); the lane engines are
-/// compared across all 64 lanes.
+/// Drives the 64-lane engine and one full-topo scalar oracle per lane with
+/// 64 distinct request streams and per-lane SEU pokes, asserting
+/// bit-identical grants and state in every lane every cycle.
 void lockstep(const Netlist& nl, int n, std::uint64_t seed, int cycles) {
   const ArbiterPorts p = resolve_arbiter_ports(nl, n);
-  const std::vector<std::size_t> sampled = {0, 5, 31, 63};
 
-  WideLaneSimulator lane_event(nl, kLanes, SettleMode::kEventDriven);
-  WideLaneSimulator lane_full(nl, kLanes, SettleMode::kFullTopo);
-  std::vector<Simulator> scalar_full, scalar_event;
-  for (std::size_t s = 0; s < sampled.size(); ++s) {
-    scalar_full.emplace_back(nl, SettleMode::kFullTopo);
-    scalar_event.emplace_back(nl, SettleMode::kEventDriven);
-  }
+  WideLaneSimulator lane(nl, kLanes);
+  std::vector<Simulator> oracle;
+  oracle.reserve(kLanes);
+  for (std::size_t l = 0; l < kLanes; ++l) oracle.emplace_back(nl);
 
   Rng rng(seed);
   // Per-lane request streams; regenerate per cycle.
@@ -575,72 +572,39 @@ void lockstep(const Netlist& nl, int n, std::uint64_t seed, int cycles) {
     for (std::size_t l = 0; l < kLanes; ++l)
       lane_req[l] = rng.next_below(std::uint64_t{1} << n);
 
-    for (int i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < p.req.size(); ++i) {
       std::uint64_t word = 0;
-      for (std::size_t l = 0; l < kLanes; ++l)
+      for (std::size_t l = 0; l < kLanes; ++l) {
         word |= ((lane_req[l] >> i) & 1) << l;
-      lane_event.set_input(p.req[static_cast<std::size_t>(i)], &word);
-      lane_full.set_input(p.req[static_cast<std::size_t>(i)], &word);
-    }
-    for (std::size_t s = 0; s < sampled.size(); ++s)
-      for (int i = 0; i < n; ++i) {
-        scalar_full[s].set_input(p.req[static_cast<std::size_t>(i)],
-                                 (lane_req[sampled[s]] >> i) & 1);
-        scalar_event[s].set_input(p.req[static_cast<std::size_t>(i)],
-                                  (lane_req[sampled[s]] >> i) & 1);
+        oracle[l].set_input(p.req[i], (lane_req[l] >> i) & 1);
       }
-    lane_event.settle();
-    lane_full.settle();
-    for (std::size_t s = 0; s < sampled.size(); ++s) {
-      scalar_full[s].settle();
-      scalar_event[s].settle();
+      lane.set_input(p.req[i], &word);
     }
+    lane.settle();
+    for (Simulator& sim : oracle) sim.settle();
 
-    // Outputs and registers must agree across every engine pair.
-    for (NetId net : p.grant) {
-      ASSERT_EQ(word_of(lane_event, net), word_of(lane_full, net))
-          << "lane event vs full diverged on " << nl.net_name(net)
-          << " at cycle " << cyc;
-      for (std::size_t s = 0; s < sampled.size(); ++s) {
-        ASSERT_EQ(scalar_full[s].get(net), scalar_event[s].get(net))
-            << "scalar event diverged, cycle " << cyc;
-        ASSERT_EQ(lane_event.get_lane(net, sampled[s]),
-                  scalar_full[s].get(net))
-            << "lane " << sampled[s] << " vs scalar diverged on "
-            << nl.net_name(net) << " at cycle " << cyc;
-      }
-    }
+    // Outputs must agree in every lane.
+    for (NetId net : p.grant)
+      for (std::size_t l = 0; l < kLanes; ++l)
+        ASSERT_EQ(lane.get_lane(net, l), oracle[l].get(net))
+            << "lane " << l << " vs scalar diverged on " << nl.net_name(net)
+            << " at cycle " << cyc;
 
-    // Every ~13 cycles, flip a random state bit in a random lane (and in
-    // the matching scalar replica when that lane is sampled).
+    // Every ~13 cycles, flip a random state bit in a random lane and in
+    // that lane's oracle.
     if (!p.state.empty() && cyc % 13 == 7) {
-      const std::size_t lane = rng.next_below(kLanes);
+      const std::size_t l = rng.next_below(kLanes);
       const NetId reg = p.state[rng.next_below(p.state.size())];
-      lane_event.poke_register_lane(reg, lane,
-                                    !lane_event.get_lane(reg, lane));
-      lane_full.poke_register_lane(reg, lane,
-                                   !lane_full.get_lane(reg, lane));
-      for (std::size_t s = 0; s < sampled.size(); ++s)
-        if (sampled[s] == lane) {
-          scalar_full[s].poke_register(reg, !scalar_full[s].get(reg));
-          scalar_event[s].poke_register(reg, !scalar_event[s].get(reg));
-        }
+      lane.poke_register_lane(reg, l, !lane.get_lane(reg, l));
+      oracle[l].poke_register(reg, !oracle[l].get(reg));
     }
 
-    lane_event.clock();
-    lane_full.clock();
-    for (std::size_t s = 0; s < sampled.size(); ++s) {
-      scalar_full[s].clock();
-      scalar_event[s].clock();
-    }
-    for (NetId net : p.state) {
-      ASSERT_EQ(word_of(lane_event, net), word_of(lane_full, net))
-          << "state diverged after clock, cycle " << cyc;
-      for (std::size_t s = 0; s < sampled.size(); ++s)
-        ASSERT_EQ(lane_event.get_lane(net, sampled[s]),
-                  scalar_full[s].get(net))
-            << "lane state vs scalar, cycle " << cyc;
-    }
+    lane.clock();
+    for (Simulator& sim : oracle) sim.clock();
+    for (NetId net : p.state)
+      for (std::size_t l = 0; l < kLanes; ++l)
+        ASSERT_EQ(lane.get_lane(net, l), oracle[l].get(net))
+            << "lane " << l << " state vs scalar, cycle " << cyc;
   }
 }
 
@@ -711,85 +675,87 @@ TEST(EventDriven, SkipsCleanLutsOnQuietInputs) {
   const Netlist& nl = g.synth.netlist;
   const ArbiterPorts p = resolve_arbiter_ports(nl, 8);
 
-  Simulator full(nl, SettleMode::kFullTopo);
-  Simulator event(nl, SettleMode::kEventDriven);
   // Hold one constant request pattern for many cycles: after the FSM
   // reaches its steady orbit, most LUT inputs stop changing and the
-  // event-driven engine must evaluate strictly fewer LUTs.
-  for (Simulator* sim : {&full, &event}) {
-    sim->set_input(p.req[2], true);
-    for (int cyc = 0; cyc < 100; ++cyc) {
-      sim->settle();
-      sim->clock();
-    }
+  // event-driven lane engine must evaluate strictly fewer LUTs than one
+  // topo pass per settle — the oracle's cost — with the same values.
+  Simulator oracle(nl);
+  WideLaneSimulator lane(nl, kLanes);
+  oracle.set_input(p.req[2], true);
+  lane.set_input_all(p.req[2], true);
+  for (int cyc = 0; cyc < 100; ++cyc) {
+    oracle.settle();
+    lane.settle();
+    for (NetId net : p.grant)
+      ASSERT_EQ(word_of(lane, net), oracle.get(net) ? ~std::uint64_t{0} : 0)
+          << nl.net_name(net) << " at cycle " << cyc;
+    oracle.clock();
+    lane.clock();
   }
-  EXPECT_LT(event.luts_evaluated(), full.luts_evaluated());
-  EXPECT_GT(event.event_settles(), 0u);
-
-  // Same contract for the lane engine.
-  WideLaneSimulator lane_full(nl, kLanes, SettleMode::kFullTopo);
-  WideLaneSimulator lane_event(nl, kLanes, SettleMode::kEventDriven);
-  for (WideLaneSimulator* sim : {&lane_full, &lane_event}) {
-    sim->set_input_all(p.req[2], true);
-    for (int cyc = 0; cyc < 100; ++cyc) {
-      sim->settle();
-      sim->clock();
-    }
-  }
-  EXPECT_LT(lane_event.luts_evaluated(), lane_full.luts_evaluated());
+  const std::uint64_t settles = lane.full_settles() + lane.event_settles();
+  EXPECT_EQ(settles, oracle.full_settles());
+  EXPECT_EQ(oracle.luts_evaluated(), nl.num_luts() * settles);
+  EXPECT_GT(lane.event_settles(), 0u);
+  EXPECT_LT(lane.luts_evaluated(), nl.num_luts() * settles);
 }
 
 TEST(EventDriven, PokeSeedsTheFanoutConeNotAFullResettle) {
   // Regression for the SEU-batch slowdown: poke_register used to schedule
-  // a full topo resettle even in kEventDriven mode, so a 64-replica SEU
-  // batch (one poke per lane per stream) re-evaluated every LUT per poke.
-  // The poked DFF's fanout cone is all a poke can dirty — exactly what
-  // clock() marks when that register changes — so the incremental path
-  // must survive fault injection, with unchanged values.
+  // a full topo resettle, so a 64-replica SEU batch (one poke per lane per
+  // stream) re-evaluated every LUT per poke.  The poked DFF's fanout cone
+  // is all a poke can dirty — exactly what clock() marks when that
+  // register changes — so the incremental path must survive fault
+  // injection, and reach the oracle's values.
   const auto& g = core::generate_arbiter_cached({.n = 4});
   const Netlist& nl = g.synth.netlist;
   const ArbiterPorts p = resolve_arbiter_ports(nl, 4);
   ASSERT_FALSE(p.state.empty());
 
-  Simulator event(nl, SettleMode::kEventDriven);
-  Simulator full(nl, SettleMode::kFullTopo);
-  // Warm both engines onto the incremental path.
-  for (Simulator* sim : {&event, &full}) {
+  // `poked` follows lane 17, `clean` every other lane.
+  Simulator poked(nl);
+  Simulator clean(nl);
+  WideLaneSimulator lane(nl, kLanes);
+  // Warm every engine onto the incremental path.
+  for (Simulator* sim : {&poked, &clean}) {
     sim->set_input(p.req[1], true);
     sim->settle();
     sim->clock();
   }
-  const std::uint64_t full_passes_before = event.full_settles();
-  const std::uint64_t evals_before = event.luts_evaluated();
-  event.poke_register(p.state[0], !event.get(p.state[0]));
-  full.poke_register(p.state[0], !full.get(p.state[0]));
-  EXPECT_EQ(event.full_settles(), full_passes_before)
-      << "an event-driven poke must not schedule a full topo resettle";
-  EXPECT_LT(event.luts_evaluated() - evals_before, nl.num_luts())
-      << "a poke should evaluate only the poked register's fanout cone";
-  // The poke produced the same fixed point as the proven full pass.
-  for (NetId net : p.grant) EXPECT_EQ(event.get(net), full.get(net));
-  for (NetId net : p.state) EXPECT_EQ(event.get(net), full.get(net));
+  lane.set_input_all(p.req[1], true);
+  lane.settle();
+  lane.clock();
 
-  WideLaneSimulator lane(nl, kLanes, SettleMode::kEventDriven);
-  const std::uint64_t lane_full_before = lane.full_settles();
-  const std::uint64_t lane_evals_before = lane.luts_evaluated();
+  const std::uint64_t full_passes_before = lane.full_settles();
+  const std::uint64_t evals_before = lane.luts_evaluated();
   lane.poke_register_lane(p.state[0], 17, !lane.get_lane(p.state[0], 17));
-  EXPECT_EQ(lane.full_settles(), lane_full_before);
-  EXPECT_LT(lane.luts_evaluated() - lane_evals_before, nl.num_luts());
-  WideLaneSimulator lane_full(nl, kLanes, SettleMode::kFullTopo);
-  lane_full.poke_register_lane(p.state[0], 17,
-                               !lane_full.get_lane(p.state[0], 17));
-  for (NetId net : p.grant)
-    EXPECT_EQ(word_of(lane, net), word_of(lane_full, net));
-  for (NetId net : p.state)
-    EXPECT_EQ(word_of(lane, net), word_of(lane_full, net));
+  poked.poke_register(p.state[0], !poked.get(p.state[0]));
+  EXPECT_EQ(lane.full_settles(), full_passes_before)
+      << "a poke must not schedule a full topo resettle";
+  EXPECT_LT(lane.luts_evaluated() - evals_before, nl.num_luts())
+      << "a poke should evaluate only the poked register's fanout cone";
+  // The poke produced the oracle's fixed point on every net in lane 17
+  // and left the other lanes alone.
+  auto expect_oracles = [&](const char* when) {
+    for (NetId net = 0; net < nl.num_nets(); ++net) {
+      std::uint64_t want = clean.get(net) ? ~std::uint64_t{0} : 0;
+      want = (want & ~(std::uint64_t{1} << 17)) |
+             (std::uint64_t{poked.get(net)} << 17);
+      EXPECT_EQ(word_of(lane, net), want) << nl.net_name(net) << " " << when;
+    }
+  };
+  expect_oracles("after the poke");
 
   // Incremental settling continues after the poke.
-  const std::uint64_t event_before = event.event_settles();
-  event.set_input(p.req[0], true);
-  event.settle();
-  EXPECT_EQ(event.event_settles(), event_before + 1);
+  const std::uint64_t event_before = lane.event_settles();
+  lane.set_input_all(p.req[0], true);
+  lane.settle();
+  EXPECT_EQ(lane.event_settles(), event_before + 1);
+  EXPECT_EQ(lane.full_settles(), full_passes_before);
+  for (Simulator* sim : {&poked, &clean}) {
+    sim->set_input(p.req[0], true);
+    sim->settle();
+  }
+  expect_oracles("after the next settle");
 }
 
 TEST(NameLookups, CycleLoopsWithResolvedIdsDoNoStringHashing) {
