@@ -282,11 +282,13 @@ BENCHMARK(BM_CampaignCell)->Arg(0)->Arg(1);
 /// effective request stream the behavioral arbiter saw during one clean
 /// run, then replay it against the memo-cached hardened *synthesized*
 /// netlist through fault::run_replica_batch — 4096 replicas fanned out as
-/// (batches x lanes) over the widest SIMD kernel this machine has, batch
+/// (passes x lanes) over the widest SIMD kernel this machine has, pass
 /// workers on $RCARB_JOBS.  Each replica's SEU is staggered across the
 /// stream.  This is the netlist-level fault batch the campaign's cycle
 /// budget goes into, timed end to end; the per-replica checksums are
 /// byte-identical to 4096 scalar runs at any width, tier or job count.
+/// Items are delivered replica-cycles; the `delivered` and `simulated`
+/// counters set them beside the lane-cycles the passes stepped.
 void BM_LaneReplicaCampaign(benchmark::State& state) {
   const Workload w;
   core::InsertionOptions io;
@@ -326,6 +328,7 @@ void BM_LaneReplicaCampaign(benchmark::State& state) {
                         static_cast<std::uint32_t>(r % spec.state.size())});
 
   std::uint64_t folded = 0;
+  std::uint64_t simulated = 0;
   for (auto _ : state) {
     const fault::ReplicaBatchResult batch = fault::run_replica_batch(spec);
     if (folded == 0) {
@@ -333,11 +336,15 @@ void BM_LaneReplicaCampaign(benchmark::State& state) {
     } else if (folded != batch.folded) {
       state.SkipWithError("replica checksums diverged across iterations");
     }
+    simulated = batch.simulated_lane_cycles;
     benchmark::DoNotOptimize(batch.folded);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kReplicas *
                                                     trace.size()));
+  state.counters["delivered"] =
+      static_cast<double>(kReplicas * trace.size());
+  state.counters["simulated"] = static_cast<double>(simulated);
   state.SetLabel(std::string("simd=") + to_string(simd_tier()));
 }
 BENCHMARK(BM_LaneReplicaCampaign);

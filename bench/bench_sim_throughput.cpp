@@ -10,21 +10,29 @@
 // eight words (AVX-512), with the SIMD kernel chosen at runtime
 // (support/cpu.hpp, $RCARB_SIMD caps it) — and advance all lanes in one
 // pass per cycle, and their event-driven settle skips LUTs whose inputs
-// are quiet.  `event%` is the share of LUT evaluations that skipping
-// leaves at 512 lanes, against one full topo pass per settle.
-// The `batched` cell fans a 4096-replica campaign out as (batches x
-// lanes) across $RCARB_JOBS workers (fault::run_replica_batch).
+// are quiet.  The grid cells drive WideLaneSimulator directly through
+// full-length passes, so every width times the same cycles.  `event%` is
+// the share of LUT evaluations that skipping leaves at 512 lanes, against
+// one full topo pass per settle.
+// The `batched` cell fans a 4096-replica campaign out across $RCARB_JOBS
+// workers through fault::run_replica_batch, which simulates only the
+// cycles where a replica can differ from the fault-free run: `batched` is
+// delivered replica-cycles over kernel seconds summed over workers,
+// `wall` the same over the call's wall time (each the median of seven
+// calls), and `sim%` the lane-cycles its passes stepped as a share of the
+// replica-cycles it delivered.
 //
 // Reported in BENCH_sim_throughput.json as lane-cycles per second
 // (replicas x stream length, divided by kernel wall time), per netlist
 // config, plus LUT-evals/sec at the widest width.  `w256_over_w64_x` /
 // `w512_over_w64_x` are the headline wide-vs-64-lane ratios on the
 // campaign-shaped hardened arbiter, `batched_over_w64_x` the threaded
-// whole-campaign ratio.  The streamed checksum fold runs inside the cycle
-// loop but is timed apart from the kernel: `host_fold_share` is its share
-// of (kernel + fold) wall time at 512 lanes, a host figure next to the
-// kernel-only ones.  Every grid cell's per-replica checksums are
-// cross-checked against the scalar baseline and across widths, and the
+// whole-campaign ratio.  The replica batch's streamed checksum fold is
+// timed apart from its kernel: `host_fold_share` is its share of
+// (kernel + fold) wall time for the 512 replicas at 512 lanes, a host
+// figure next to the kernel-only ones.  Every grid cell's per-replica
+// checksums are cross-checked against fault::run_replica_batch, whose
+// leading replicas are checked against the scalar baseline, and the
 // folded value lands in the `checksum_<config>` notes — byte-identical
 // across $RCARB_SIMD tiers and $RCARB_JOBS counts, which CI pins by
 // diffing the notes across forced-tier reruns.
@@ -58,6 +66,7 @@ constexpr std::size_t kCycles = 2048;      // stream length per replica
 constexpr std::size_t kReplicas = 512;     // grid cells: one widest batch
 constexpr std::size_t kScalarReplicas = 64;  // scalar baseline prefix
 constexpr std::size_t kBatchedReplicas = 4096;  // threaded campaign cell
+constexpr std::size_t kBatchedCalls = 7;        // timed calls, median kept
 
 /// The shared fault batch: request stream plus one SEU per replica,
 /// resolved against one arbiter netlist.
@@ -123,6 +132,13 @@ std::uint64_t full_pass_evals(const fault::ReplicaBatchSpec& spec,
   return settles * spec.netlist->num_luts();
 }
 
+/// Median of an odd-length sample.
+double median(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::ranges::nth_element(v, mid);
+  return *mid;
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -132,35 +148,92 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 struct Cell {
   double cps = 0.0;            // lane-cycles per second
   double evals_per_sec = 0.0;  // LUT evaluations per second
-  double fold_share = 0.0;     // host: fold / (kernel + fold) wall time
   std::uint64_t luts_evaluated = 0;
   std::vector<std::uint64_t> checksums;
-  std::uint64_t folded = 0;
-  SimdTier tier = SimdTier::kScalar;
 };
 
+/// One replica's SEU resolved to its pass lane.
+struct LanePoke {
+  std::uint32_t cycle = 0;
+  std::uint32_t lane = 0;
+  std::uint32_t state_bit = 0;
+};
+
+/// Runs the batch `lanes` replicas per full-length WideLaneSimulator pass,
+/// each cycle doing what a replica pass does: stimulus, settle, grant
+/// capture, one poke_register_lane per SEU, clock.  Only that loop is
+/// timed, so the width ratios compare kernels on equal work; fault::
+/// run_replica_batch stops a pass once its lanes rejoin the fault-free
+/// run, which would time a different number of cycles per width.  The
+/// grant rows of the whole run are buffered and folded into per-replica
+/// checksums after the timer stops.
 Cell run_cell(const fault::ReplicaBatchSpec& spec, std::size_t lanes) {
-  fault::ReplicaBatchOptions opt;
-  opt.lanes = lanes;
-  opt.jobs = 1;  // grid cells time the kernel, not the worker pool
-  const fault::ReplicaBatchResult r = fault::run_replica_batch(spec, opt);
+  const std::size_t cycles = spec.requests.size();
+  const std::size_t grants = spec.grant.size();
+  const std::size_t replicas = spec.seu.size();
   Cell cell;
-  cell.cps = static_cast<double>(spec.seu.size() * kCycles) /
-             r.kernel_seconds;
-  cell.evals_per_sec =
-      static_cast<double>(r.luts_evaluated) / r.kernel_seconds;
-  cell.fold_share = r.fold_seconds / (r.kernel_seconds + r.fold_seconds);
-  cell.luts_evaluated = r.luts_evaluated;
-  cell.checksums = r.checksums;
-  cell.folded = r.folded;
-  cell.tier = r.kernel_tier;
+  cell.checksums.assign(replicas, 0);
+  double seconds = 0.0;
+  for (std::size_t first = 0; first < replicas; first += lanes) {
+    const std::size_t active = std::min(lanes, replicas - first);
+    std::vector<LanePoke> pokes;
+    for (std::size_t l = 0; l < active; ++l) {
+      const fault::ReplicaSeu& seu = spec.seu[first + l];
+      if (seu.cycle < cycles)
+        pokes.push_back(
+            {seu.cycle, static_cast<std::uint32_t>(l), seu.state_bit});
+    }
+    std::ranges::stable_sort(pokes, {}, &LanePoke::cycle);
+    WideLaneSimulator sim(*spec.netlist, lanes);
+    const std::size_t words = sim.words();
+    std::vector<std::uint64_t> rows(cycles * grants * words);
+    const std::uint64_t evals_before = sim.luts_evaluated();
+
+    const auto t0 = std::chrono::steady_clock::now();
+    sim.reset();
+    auto next = pokes.begin();
+    for (std::size_t c = 0; c < cycles; ++c) {
+      const std::uint64_t req = spec.requests[c];
+      for (std::size_t i = 0; i < spec.req.size(); ++i)
+        sim.set_input_all(spec.req[i], (req >> i) & 1);
+      sim.settle();
+      for (std::size_t i = 0; i < grants; ++i)
+        sim.get(spec.grant[i], rows.data() + (c * grants + i) * words);
+      for (; next != pokes.end() && next->cycle == c; ++next) {
+        const NetId net = spec.state[next->state_bit];
+        sim.poke_register_lane(net, next->lane,
+                               !sim.get_lane(net, next->lane));
+      }
+      sim.clock();
+    }
+    seconds += seconds_since(t0);
+    cell.luts_evaluated += sim.luts_evaluated() - evals_before;
+
+    for (std::size_t l = 0; l < active; ++l) {
+      std::uint64_t checksum = 0;
+      for (std::size_t k = 0; k < cycles * grants; ++k) {
+        const bool bit = (rows[k * words + l / 64] >> (l % 64)) & 1u;
+        checksum = checksum * 31 + (bit ? k % grants + 1 : 0);
+      }
+      cell.checksums[first + l] = checksum;
+    }
+  }
+  cell.cps = static_cast<double>(replicas * cycles) / seconds;
+  cell.evals_per_sec = static_cast<double>(cell.luts_evaluated) / seconds;
   return cell;
 }
 
 struct ConfigResult {
   double scalar_cps = 0.0;
   Cell wide[3];  // widths 64 / 256 / 512
-  double batched_cps = 0.0;        // 4096 replicas, widest width, RCARB_JOBS
+  double fold_share = 0.0;  // host: fold / (kernel + fold), replica batch
+  // The 4096-replica run_replica_batch call at the widest width on
+  // $RCARB_JOBS workers: replica-cycles over kernel seconds summed over
+  // workers, and over the call's wall time (medians over calls).
+  double batched_cps = 0.0;
+  double batched_wall_cps = 0.0;
+  std::uint64_t batched_delivered = 0;  // replica-cycles the call returns
+  std::uint64_t batched_simulated = 0;  // lane-cycles its passes stepped
   double event_eval_fraction = 0.0;  // evals / full-pass evals at 512 lanes
   std::uint64_t folded = 0;          // the shared 512-replica checksum fold
   bool checksums_match = false;
@@ -183,29 +256,52 @@ ConfigResult measure_config(const Netlist& nl, int n, std::uint64_t seed) {
   res.scalar_cps =
       static_cast<double>(kScalarReplicas * kCycles) / scalar_s;
 
+  // The replica batch entry point over the same 512 replicas: every
+  // replica must match every grid width, whose leading replicas must
+  // match the scalar baseline — a throughput number from a diverging
+  // simulator would be meaningless.
+  fault::ReplicaBatchOptions serial;
+  serial.jobs = 1;
+  const fault::ReplicaBatchResult batch =
+      fault::run_replica_batch(spec, serial);
+  res.fold_share =
+      batch.fold_seconds / (batch.kernel_seconds + batch.fold_seconds);
   bool match = true;
   for (std::size_t w = 0; w < 3; ++w) {
     res.wide[w] = run_cell(spec, kWidths[w]);
-    // The scalar baseline must match the leading replicas of every width —
-    // a throughput number from a diverging simulator would be meaningless.
-    for (std::size_t r = 0; r < kScalarReplicas; ++r)
-      match = match && res.wide[w].checksums[r] == scalar_checksums[r];
-    match = match && res.wide[w].folded == res.wide[0].folded;
+    match = match && res.wide[w].checksums == batch.checksums;
   }
-  res.folded = res.wide[0].folded;
+  for (std::size_t r = 0; r < kScalarReplicas; ++r)
+    match = match && batch.checksums[r] == scalar_checksums[r];
+  res.folded = batch.folded;
   res.event_eval_fraction = static_cast<double>(res.wide[2].luts_evaluated) /
                             static_cast<double>(full_pass_evals(spec, 512));
 
   // The threaded campaign cell: 4096 replicas at the widest width, batch
-  // workers on $RCARB_JOBS.  Same stream, fresh SEU draw per replica.
+  // workers on $RCARB_JOBS.  Same stream, fresh SEU draw per replica.  One
+  // call takes a few milliseconds, so a single timing is mostly host
+  // noise: both rates take the median over kBatchedCalls calls.
   const fault::ReplicaBatchSpec campaign =
       make_spec(nl, n, seed, kBatchedReplicas);
   fault::ReplicaBatchOptions opt;
-  const fault::ReplicaBatchResult batched =
-      fault::run_replica_batch(campaign, opt);
-  res.batched_cps = static_cast<double>(kBatchedReplicas * kCycles) /
-                    batched.kernel_seconds;
-  match = match && batched.checksums.size() == kBatchedReplicas;
+  std::vector<double> kernel_s;
+  std::vector<double> wall_s;
+  fault::ReplicaBatchResult batched;
+  for (std::size_t call = 0; call < kBatchedCalls; ++call) {
+    const auto t_batched = std::chrono::steady_clock::now();
+    fault::ReplicaBatchResult r = fault::run_replica_batch(campaign, opt);
+    wall_s.push_back(seconds_since(t_batched));
+    kernel_s.push_back(r.kernel_seconds);
+    match = match && r.checksums.size() == kBatchedReplicas &&
+            (call == 0 || r.folded == batched.folded);
+    batched = std::move(r);
+  }
+  res.batched_delivered = kBatchedReplicas * kCycles;
+  res.batched_simulated = batched.simulated_lane_cycles;
+  res.batched_cps =
+      static_cast<double>(res.batched_delivered) / median(kernel_s);
+  res.batched_wall_cps =
+      static_cast<double>(res.batched_delivered) / median(wall_s);
 
   // The timed loops resolved every name up front; any hidden per-cycle
   // string hashing would show up here.
@@ -251,8 +347,8 @@ int report_throughput(obs::BenchReporter& rep) {
               " SEU replicas x " + std::to_string(kCycles) +
               " cycles (lane-cycles/sec)");
   table.set_header({"netlist", "LUTs", "scalar", "w64", "w256", "w512",
-                    "256/64", "512/64", "batched", "evals/s", "fold%",
-                    "event%"});
+                    "256/64", "512/64", "batched", "wall", "sim%", "evals/s",
+                    "fold%", "event%"});
 
   bool all_match = true;
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -269,8 +365,13 @@ int report_throughput(obs::BenchReporter& rep) {
                    cell(r.wide[1]), cell(r.wide[2]), fmt_fixed(w256_x, 1) + "x",
                    fmt_fixed(w512_x, 1) + "x",
                    fmt_fixed(r.batched_cps / 1e6, 0) + "M",
+                   fmt_fixed(r.batched_wall_cps / 1e6, 0) + "M",
+                   fmt_fixed(100.0 * static_cast<double>(r.batched_simulated) /
+                                 static_cast<double>(r.batched_delivered),
+                             2) +
+                       "%",
                    fmt_fixed(r.wide[2].evals_per_sec / 1e6, 0) + "M",
-                   fmt_fixed(r.wide[2].fold_share * 100.0, 1) + "%",
+                   fmt_fixed(r.fold_share * 100.0, 1) + "%",
                    fmt_fixed(r.event_eval_fraction * 100.0, 1) + "%"});
     // The folded per-replica checksum of the shared 512-replica batch —
     // identical across engines, widths, SIMD tiers and job counts.  CI
@@ -284,10 +385,16 @@ int report_throughput(obs::BenchReporter& rep) {
       rep.metric("speedup_x", r.wide[0].cps / r.scalar_cps, "x");
       rep.metric("w256_lane_cycles_per_sec", r.wide[1].cps, "cycles/s");
       rep.metric("w512_lane_cycles_per_sec", r.wide[2].cps, "cycles/s");
-      rep.metric("host_fold_share", r.wide[2].fold_share, "ratio");
+      rep.metric("host_fold_share", r.fold_share, "ratio");
       rep.metric("w256_over_w64_x", w256_x, "x");
       rep.metric("w512_over_w64_x", w512_x, "x");
       rep.metric("batched_lane_cycles_per_sec", r.batched_cps, "cycles/s");
+      rep.metric("batched_wall_lane_cycles_per_sec", r.batched_wall_cps,
+                 "cycles/s");
+      rep.metric("batched_delivered_lane_cycles",
+                 static_cast<double>(r.batched_delivered), "lane-cycles");
+      rep.metric("batched_simulated_lane_cycles",
+                 static_cast<double>(r.batched_simulated), "lane-cycles");
       rep.metric("batched_over_w64_x", batched_x, "x");
       rep.metric("lut_evals_per_sec", r.wide[2].evals_per_sec, "evals/s");
       rep.metric("event_eval_fraction", r.event_eval_fraction, "ratio");
@@ -309,10 +416,12 @@ int report_throughput(obs::BenchReporter& rep) {
   std::puts(
       "one wide pass advances `lanes` replicas: the per-cycle cost is one\n"
       "LUT mux-tree fold per dirty LUT (1, 4 or 8 SIMD words) instead of\n"
-      "`lanes` scalar topo passes.  fold% is the host share of the 512-lane\n"
-      "pass spent folding grant chunks into checksums, timed apart from the\n"
-      "kernel figures.  event% is the LUT evaluations the 512-lane pass made,\n"
-      "as a share of one full topo pass per settle.\n");
+      "`lanes` scalar topo passes.  batched simulates only the cycles where\n"
+      "a replica can differ from the fault-free run; sim% is the lane-cycles\n"
+      "it stepped as a share of those it delivered.  fold% is the host share\n"
+      "of the 512-replica batch spent folding grant chunks into checksums,\n"
+      "timed apart from the kernel figures.  event% is the LUT evaluations\n"
+      "the 512-lane pass made, as a share of one full topo pass per settle.\n");
   return 0;
 }
 
@@ -337,7 +446,9 @@ void BM_ScalarReplicaBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarReplicaBatch)->Arg(3);
 
-/// One grid cell as a google-benchmark: args are (ports, lanes).
+/// One pass's worth of replicas through fault::run_replica_batch: args
+/// are (ports, lanes).  Items are delivered replica-cycles; the
+/// `simulated` counter is the lane-cycles the pass stepped per call.
 void BM_WideReplicaBatch(benchmark::State& state) {
   const auto& g = core::generate_arbiter_cached(
                         {.n = static_cast<int>(state.range(0)),
@@ -350,14 +461,17 @@ void BM_WideReplicaBatch(benchmark::State& state) {
   fault::ReplicaBatchOptions opt;
   opt.lanes = lanes;
   opt.jobs = 1;
+  fault::ReplicaBatchResult last;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::run_replica_batch(spec, opt).folded);
+    last = fault::run_replica_batch(spec, opt);
+    benchmark::DoNotOptimize(last.folded);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(lanes * kCycles));
-  fault::ReplicaBatchOptions probe = opt;
-  state.SetLabel(std::string("simd=") +
-                 to_string(fault::run_replica_batch(spec, probe).kernel_tier));
+  state.counters["delivered"] = static_cast<double>(lanes * kCycles);
+  state.counters["simulated"] =
+      static_cast<double>(last.simulated_lane_cycles);
+  state.SetLabel(std::string("simd=") + to_string(last.kernel_tier));
 }
 BENCHMARK(BM_WideReplicaBatch)->Args({3, 64})->Args({3, 256})->Args({3, 512});
 

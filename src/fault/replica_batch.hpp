@@ -3,24 +3,33 @@
 // The fault campaign's netlist-level inner loop is a *replica batch*: R
 // replicas of one arbiter netlist replay a shared request stream, each
 // replica carrying its own SEU (a register bit flipped at a
-// replica-specific cycle).  This is the entry point that fans a batch out
-// as (batches x lanes): replicas are packed `lanes` at a time into
-// netlist::WideLaneSimulator passes (64..512 lanes per pass, SIMD kernel
-// chosen at runtime), and the batches run on support/parallel.hpp's
-// ordered_map_reduce worker pool.  Grant rows are captured one chunk of
-// 64 / grants cycles at a time and folded into the per-replica checksums
-// as each chunk fills (a 64x64 bit transpose plus byte-table lookups), so
-// no batch buffers its whole run.
+// replica-specific cycle).  Before its SEU a replica *is* the fault-free
+// ("golden") run, and once all of its DFFs hold the golden values again
+// every later grant is the golden grant.  So one call simulates the
+// golden run once, on the calling thread, and then only the cycles where
+// replicas can differ from it (fault dropping, after Ulrich & Baker's
+// concurrent fault simulation): replicas are sorted by SEU cycle and
+// packed `lanes` at a time into netlist::WideLaneSimulator passes (64..512
+// lanes per pass, SIMD kernel chosen at runtime) that run on
+// support/parallel.hpp's ordered_map_reduce worker pool.  A pass starts
+// from the golden registers at its earliest SEU cycle s and stops at the
+// first cycle e after its last SEU at which every lane's DFFs equal the
+// golden run's (or at the end of the stream).  Each lane folds only its
+// grants of [s, e), one chunk of 64 / grants cycles at a time (a 64x64 bit
+// transpose plus byte-table lookups), as d.  With H the golden fold of
+// [0, s), S the golden fold of [e, C) and G grants per cycle, its
+// checksum is (H * 31^(G(e-s)) + d) * 31^(G(C-e)) + S, exactly, since the
+// fold is Horner's rule mod 2^64 (DESIGN.md section 15).
 //
 // Determinism contract: every replica's grant-stream checksum is a pure
 // function of (netlist, request stream, that replica's SEU) — lanes never
-// interact, and batches are fixed slices of the replica index space — so
-// `checksums` and `folded` are byte-identical across RCARB_JOBS=1 vs N,
-// across lane widths 64/256/512, across SIMD tiers, and against R scalar
+// interact, and passes are fixed slices of the SEU-cycle-sorted index
+// (a stable sort, so ties keep replica order) — so `checksums` and
+// `folded` are byte-identical across RCARB_JOBS=1 vs N, across lane
+// widths 64/256/512, across SIMD tiers, and against R scalar
 // netlist::Simulator runs.  The cross-width test suite and
-// bench_sim_throughput's checksum tie pin all of this.  Only
-// `kernel_seconds` and `fold_seconds` (wall times) are outside the
-// contract.
+// bench_sim_throughput's checksum tie pin all of this.  Only the
+// `*_seconds` fields (wall times) are outside the contract.
 #pragma once
 
 #include <cstdint>
@@ -71,22 +80,32 @@ struct ReplicaBatchResult {
   /// FNV-style fold of `checksums` in replica order — one word to compare
   /// across engines, widths, tiers and job counts.
   std::uint64_t folded = 0;
-  /// LUT evaluations summed over all batch simulators.
+  /// LUT evaluations summed over the pass simulators: the golden-register
+  /// load and every stepped cycle.  The golden pass runs on the scalar
+  /// netlist::Simulator and is not counted.
   std::uint64_t luts_evaluated = 0;
+  /// Lane-cycles the passes stepped: (e - s) * lanes summed over passes.
+  /// The replica-cycles a call delivers are R * requests.size(); replicas
+  /// whose SEU lies at or past the end of the stream take no pass.
+  std::uint64_t simulated_lane_cycles = 0;
+  /// Wide-lane passes run: ceil(replicas with an in-run SEU / lanes).
   std::size_t batches = 0;
   std::size_t lanes = 0;
-  /// SIMD kernel the batches dispatched to.
+  /// SIMD kernel the passes dispatched to (kScalar when no pass ran).
   SimdTier kernel_tier = SimdTier::kScalar;
-  /// Summed wall time of the timed cycle loops minus their chunk folds:
-  /// stimulus, settle, grant capture, SEU pokes and clock only (excludes
-  /// simulator construction and `fold_seconds`) — the throughput
-  /// numerator is R * requests.size() lane-cycles.  Outside the
-  /// determinism contract.
+  /// Summed wall time of the passes' cycle loops minus their chunk folds:
+  /// golden-register load, stimulus, settle, grant capture, SEU pokes,
+  /// clock and the rejoin compare (excludes simulator construction, the
+  /// golden pass and `fold_seconds`).  Outside the determinism contract.
   double kernel_seconds = 0.0;
   /// Summed wall time of the streamed checksum chunk folds, which run
   /// inside the cycle loops but are timed apart from `kernel_seconds`.
   /// Outside the determinism contract.
   double fold_seconds = 0.0;
+  /// Wall time of the serial golden pass (its own field: it is in neither
+  /// `kernel_seconds` nor `fold_seconds`).  Outside the determinism
+  /// contract.
+  double golden_seconds = 0.0;
 };
 
 /// Runs all R = spec.seu.size() replicas and returns their checksums.

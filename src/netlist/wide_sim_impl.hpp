@@ -82,7 +82,10 @@ class WideSimBase {
   virtual void set_input_word(NetId net, const std::uint64_t* words) = 0;
   virtual void settle() = 0;
   virtual void clock() = 0;
-  virtual void poke_register_word(NetId net, const std::uint64_t* words) = 0;
+  /// Writes nets[k]'s row from words + k * words(), for k < count, then
+  /// settles once.
+  virtual void poke_register_words(const NetId* nets, std::size_t count,
+                                   const std::uint64_t* words) = 0;
   virtual void get_word(NetId net, std::uint64_t* out) const = 0;
 
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
@@ -187,10 +190,12 @@ class WideSimImpl final : public WideSimBase {
     settle();
   }
 
-  void poke_register_word(NetId net, const std::uint64_t* words) override {
-    // The poked register's fanout cone is exactly what clock() would
-    // dirty for this q net, so no full resettle is needed.
-    write_net(net, Word::load(words));
+  void poke_register_words(const NetId* nets, std::size_t count,
+                           const std::uint64_t* words) override {
+    // The poked registers' fanout cones are exactly what clock() would
+    // dirty for these q nets, so no full resettle is needed.
+    for (std::size_t k = 0; k < count; ++k)
+      write_net(nets[k], Word::load(words + k * Word::kWords));
     settle();
   }
 

@@ -228,18 +228,22 @@ void WideLaneSimulator::settle() { impl_->settle(); }
 void WideLaneSimulator::clock() { impl_->clock(); }
 
 void WideLaneSimulator::poke_register(NetId net, const std::uint64_t* word) {
-  RCARB_CHECK(netlist_->driver_kind(net) == DriverKind::kDff,
-              "poke_register on a non-register net");
-  impl_->poke_register_word(net, word);
+  poke_registers({&net, 1}, word);
+}
+
+void WideLaneSimulator::poke_registers(std::span<const NetId> nets,
+                                       const std::uint64_t* rows) {
+  for (const NetId net : nets)
+    RCARB_CHECK(netlist_->driver_kind(net) == DriverKind::kDff,
+                "poke_register on a non-register net");
+  impl_->poke_register_words(nets.data(), nets.size(), rows);
 }
 
 void WideLaneSimulator::poke_register_lane(NetId net, std::size_t lane,
                                            bool value) {
-  RCARB_CHECK(netlist_->driver_kind(net) == DriverKind::kDff,
-              "poke_register on a non-register net");
   std::uint64_t row[kMaxLanes / 64];
   row_with_lane(net, lane, value, row);
-  impl_->poke_register_word(net, row);
+  poke_register(net, row);
 }
 
 void WideLaneSimulator::poke_register_lane(const std::string& name,

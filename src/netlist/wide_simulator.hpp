@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "netlist/netlist.hpp"
@@ -89,6 +90,11 @@ class WideLaneSimulator {
   /// the register) and re-settles — event-driven via the DFF's fanout
   /// cone, no full-pass fallback.
   void poke_register(NetId net, const std::uint64_t* word);
+  /// Overwrites the q rows of several DFFs — nets[k] takes the words()
+  /// words at rows + k * words() — then settles once.  Loading a whole
+  /// register snapshot or one cycle's SEUs across many lanes costs one
+  /// settle, not one per row.
+  void poke_registers(std::span<const NetId> nets, const std::uint64_t* rows);
   void poke_register_lane(NetId net, std::size_t lane, bool value);
   void poke_register_lane(const std::string& name, std::size_t lane,
                           bool value);

@@ -5,15 +5,20 @@
 // replica-batch entry point (fault::run_replica_batch): byte-identical
 // checksums at 1/2/8 jobs and across lane widths and tiers, every replica
 // against the scalar oracle, its streamed chunk fold across grant counts
-// and partial final chunks, its grant-count check, and the support/cpu
-// tier-resolution rules.
+// and partial final chunks, its grant-count check, its fault-dropping
+// passes (edge SEU cycles, pass boundaries, replica counts, a netlist
+// whose lanes never rejoin and one whose divergence hides in a DFF
+// outside the state register), and the support/cpu tier-resolution
+// rules.
 // Last, the 64-lane lockstep suite: the 64-lane engine vs one scalar
 // oracle per lane under random requests and SEU pokes, event-driven
 // LUT-evaluation bounds, poke cone seeding, name-lookup-free cycle loops
 // and request-trace replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -290,6 +295,42 @@ TEST(WideEventDriven, SkipsCleanLutsAndPokesStayIncremental) {
     EXPECT_EQ(event.get_lane(net, 137), oracle.get(net)) << nl.net_name(net);
 }
 
+// poke_registers writes several register rows and settles once: the
+// result equals one poke_register per row, each settling on its own.
+TEST(WideEventDriven, PokeRegistersWritesEveryRowThenSettlesOnce) {
+  const auto& g = core::generate_arbiter_cached({.n = 8});
+  const Netlist& nl = g.synth.netlist;
+  const Ports p = collect_ports(nl);
+  ASSERT_GE(p.state.size(), 3u);
+  WideLaneSimulator batched(nl, 128);
+  WideLaneSimulator one_by_one(nl, 128);
+  for (WideLaneSimulator* sim : {&batched, &one_by_one}) {
+    sim->set_input_all(p.in[1], true);
+    sim->settle();
+    sim->clock();
+  }
+  const std::vector<NetId> nets = {p.state[0], p.state[2], p.state[1]};
+  std::vector<std::uint64_t> rows(nets.size() * batched.words());
+  for (std::size_t k = 0; k < nets.size(); ++k) {
+    batched.get(nets[k], rows.data() + k * batched.words());
+    rows[k * batched.words() + k % 2] ^= 0x5a5a0000ffff0001ull << k;
+  }
+  const std::uint64_t settles = batched.event_settles();
+  batched.poke_registers(nets, rows.data());
+  EXPECT_EQ(batched.event_settles(), settles + 1);
+  for (std::size_t k = 0; k < nets.size(); ++k)
+    one_by_one.poke_register(nets[k], rows.data() + k * batched.words());
+  std::vector<std::uint64_t> a(batched.words());
+  std::vector<std::uint64_t> b(batched.words());
+  for (NetId net = 0; net < nl.num_nets(); ++net) {
+    batched.get(net, a.data());
+    one_by_one.get(net, b.data());
+    EXPECT_EQ(a, b) << nl.net_name(net);
+  }
+  const NetId input = p.in[0];
+  EXPECT_THROW(batched.poke_registers({&input, 1}, rows.data()), CheckError);
+}
+
 TEST(WideNameLookups, ResolvedIdLoopsDoNoStringHashing) {
   const auto& g = core::generate_arbiter_cached({.n = 4});
   const Netlist& nl = g.synth.netlist;
@@ -473,6 +514,193 @@ TEST(ReplicaBatch, RejectsGrantCountsOutsideOneTo64) {
   EXPECT_THROW((void)fault::run_replica_batch(spec), CheckError);
   spec.grant.assign(64, grant0);
   EXPECT_EQ(fault::run_replica_batch(spec).checksums.size(), 4u);
+}
+
+// ---- Fault dropping: passes simulate only where replicas differ. ----
+
+/// A spec over `nl` with the campaign stream of `cycles` cycles and the
+/// given SEUs; `grants` lists the grant nets each cycle folds.
+fault::ReplicaBatchSpec seu_spec(const Netlist& nl, int n, std::size_t cycles,
+                                 std::vector<NetId> grants,
+                                 std::vector<fault::ReplicaSeu> seu) {
+  fault::ReplicaBatchSpec spec =
+      campaign_spec(nl, n, /*replicas=*/0, /*seed=*/2718 + cycles, cycles);
+  spec.grant = std::move(grants);
+  spec.seu = std::move(seu);
+  return spec;
+}
+
+/// SEUs that hit the edges: cycle 0, C - 1, C and past C, plus R - 6
+/// seeded ones on every third cycle, in a shuffled replica order (so the
+/// SEU-cycle sort has work to do).  At R = 600 each of those cycles gets
+/// about 12 SEUs, so at 64, 256 and 512 lanes some cycle's SEUs straddle
+/// a pass boundary.
+std::vector<fault::ReplicaSeu> edge_seus(std::size_t replicas,
+                                         std::size_t cycles,
+                                         std::size_t state_bits,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<fault::ReplicaSeu> seu;
+  const std::uint32_t c = static_cast<std::uint32_t>(cycles);
+  for (const std::uint32_t cycle : {0u, 0u, c - 1, c - 1, c, c + 7})
+    seu.push_back({cycle, static_cast<std::uint32_t>(
+                              rng.next_below(state_bits))});
+  while (seu.size() < replicas)
+    seu.push_back(
+        {static_cast<std::uint32_t>(rng.next_below(cycles / 3) * 3),
+         static_cast<std::uint32_t>(rng.next_below(state_bits))});
+  seu.resize(replicas);
+  for (std::size_t i = seu.size(); i > 1; --i)
+    std::swap(seu[i - 1], seu[rng.next_below(i)]);
+  return seu;
+}
+
+/// The SEU cycle at each position of the pass order (in-run SEUs only).
+std::vector<std::uint32_t> sorted_in_run_cycles(
+    const fault::ReplicaBatchSpec& spec) {
+  std::vector<std::uint32_t> cycles;
+  for (const fault::ReplicaSeu& seu : spec.seu)
+    if (seu.cycle < spec.requests.size()) cycles.push_back(seu.cycle);
+  std::ranges::sort(cycles);
+  return cycles;
+}
+
+/// Runs `spec` at 64/256/512 lanes, 1 and 4 jobs, portable and machine
+/// kernels, and checks every replica against one scalar Simulator run.
+void expect_matches_oracle(const fault::ReplicaBatchSpec& spec,
+                           const std::string& what) {
+  std::vector<std::uint64_t> oracle(spec.seu.size());
+  for (std::size_t r = 0; r < spec.seu.size(); ++r)
+    oracle[r] = scalar_replica_checksum(spec, r);
+  for (const std::size_t lanes :
+       {std::size_t{64}, std::size_t{256}, std::size_t{512}})
+    for (const int jobs : {1, 4})
+      for (const std::optional<SimdTier> tier :
+           {std::optional<SimdTier>{SimdTier::kScalar},
+            std::optional<SimdTier>{}}) {
+        fault::ReplicaBatchOptions opt;
+        opt.lanes = lanes;
+        opt.jobs = jobs;
+        opt.tier = tier;
+        const fault::ReplicaBatchResult r = fault::run_replica_batch(spec, opt);
+        EXPECT_EQ(r.checksums, oracle)
+            << what << " lanes=" << lanes << " jobs=" << jobs
+            << (tier ? " portable" : " machine tier");
+      }
+}
+
+TEST(ReplicaDropping, MatchesScalarOracleAcrossShapesWidthsJobsAndTiers) {
+  const auto& hardened = core::generate_arbiter_cached(kHardened3).synth;
+  const auto& n8 = core::generate_arbiter_cached({.n = 8});
+  const Netlist& n3 = hardened.netlist;
+  const auto grant = [](const Netlist& nl, int i) {
+    return *nl.find_net("grant" + std::to_string(i));
+  };
+  // 150 cycles: 21-cycle chunks at 3 grants and 8-cycle chunks at 8, so
+  // most passes end in a partial chunk.
+  constexpr std::size_t kCycles = 150;
+  const std::vector<NetId> g3 = {grant(n3, 0), grant(n3, 1), grant(n3, 2)};
+  std::vector<NetId> g64;  // 64 grants: one-cycle chunks
+  for (int i = 0; i < 64; ++i) g64.push_back(g3[static_cast<std::size_t>(i % 3)]);
+  const std::vector<NetId> g1 = {grant(n3, 1)};
+  std::vector<NetId> g8;
+  for (int i = 0; i < 8; ++i) g8.push_back(grant(n8.synth.netlist, i));
+  const std::size_t n3_bits =
+      campaign_spec(n3, 3, 0, 1, 1).state.size();
+  const std::size_t n8_bits =
+      campaign_spec(n8.synth.netlist, 8, 0, 1, 1).state.size();
+
+  // R = 600 (not a multiple of any width), 50 (< lanes) and 1.
+  for (const std::size_t replicas :
+       {std::size_t{600}, std::size_t{50}, std::size_t{1}}) {
+    const auto seu = edge_seus(replicas, kCycles, n3_bits, 11 + replicas);
+    for (const std::vector<NetId>* grants :
+         std::initializer_list<const std::vector<NetId>*>{&g3, &g64, &g1}) {
+      const fault::ReplicaBatchSpec spec =
+          seu_spec(n3, 3, kCycles, *grants, seu);
+      if (replicas == 600)
+        for (const std::size_t lanes :
+             {std::size_t{64}, std::size_t{256}, std::size_t{512}}) {
+          const std::vector<std::uint32_t> sorted = sorted_in_run_cycles(spec);
+          ASSERT_EQ(sorted[lanes - 1], sorted[lanes])
+              << "no SEU cycle straddles the " << lanes << "-lane boundary";
+        }
+      expect_matches_oracle(spec, "n3 hardened, R=" +
+                                      std::to_string(replicas) + ", " +
+                                      std::to_string(grants->size()) +
+                                      " grants");
+    }
+  }
+  // Every replica at one cycle, mid-run and at cycle 0.
+  for (const std::uint32_t cycle : {77u, 0u}) {
+    std::vector<fault::ReplicaSeu> seu(300);
+    for (std::size_t r = 0; r < seu.size(); ++r)
+      seu[r] = {cycle, static_cast<std::uint32_t>(r % n3_bits)};
+    expect_matches_oracle(seu_spec(n3, 3, kCycles, g3, seu),
+                          "all at cycle " + std::to_string(cycle));
+  }
+  // The plain n8 arbiter: lanes never rejoin, so passes run to C.
+  const auto seu8 = edge_seus(600, kCycles, n8_bits, 88);
+  expect_matches_oracle(seu_spec(n8.synth.netlist, 8, kCycles, g8, seu8),
+                        "n8 structural");
+}
+
+// The hardened arbiter's lanes rejoin within a few cycles, so its passes
+// stop early; the plain n8 arbiter's never do, so each pass runs from its
+// first SEU to the end of the stream.
+TEST(ReplicaDropping, PassesStopAtRejoinOrRunToTheEnd) {
+  const auto& hardened = core::generate_arbiter_cached(kHardened3).synth;
+  const auto& n8 = core::generate_arbiter_cached({.n = 8});
+  constexpr std::size_t kCycles = 400;
+  constexpr std::size_t kLanes = 64;
+  const fault::ReplicaBatchSpec n3 =
+      campaign_spec(hardened.netlist, 3, 640, 5150, kCycles);
+  const fault::ReplicaBatchSpec n8s =
+      campaign_spec(n8.synth.netlist, 8, 640, 5150, kCycles);
+  fault::ReplicaBatchOptions opt;
+  opt.lanes = kLanes;
+  for (const fault::ReplicaBatchSpec* spec : {&n3, &n8s}) {
+    const std::vector<std::uint32_t> sorted = sorted_in_run_cycles(*spec);
+    std::uint64_t to_the_end = 0;  // passes run from s to C
+    for (std::size_t first = 0; first < sorted.size(); first += kLanes)
+      to_the_end += (kCycles - sorted[first]) * kLanes;
+    const fault::ReplicaBatchResult r = fault::run_replica_batch(*spec, opt);
+    EXPECT_EQ(r.batches, 10u);
+    if (spec == &n8s) {
+      EXPECT_EQ(r.simulated_lane_cycles, to_the_end);
+    } else {
+      EXPECT_LT(r.simulated_lane_cycles * 4, to_the_end);
+    }
+  }
+}
+
+// A DFF outside spec.state carries the divergence on after the state
+// register has rejoined: state0 latches req0 every clock, so a flipped
+// state0 is golden again one cycle later, but shadow1 and then shadow2
+// latch the flipped value, and grant0 = shadow2 ^ req0 shows it two
+// cycles after the SEU.  A rejoin check over spec.state alone would stop
+// the pass one cycle too soon and lose that grant.
+TEST(ReplicaDropping, RejoinWaitsForEveryDffNotJustTheStateNets) {
+  Netlist nl;
+  const NetId req0 = nl.add_input("req0");
+  const NetId state0 = nl.add_dff(req0, false, "state0");
+  const NetId shadow1 = nl.add_dff(state0, false, "shadow1");
+  const NetId shadow2 = nl.add_dff(shadow1, true, "shadow2");
+  nl.mark_output(nl.add_lut({shadow2, req0}, 0b0110, "grant0"), "grant0");
+
+  constexpr std::size_t kCycles = 90;
+  fault::ReplicaBatchSpec spec = campaign_spec(nl, 1, 0, 404, kCycles);
+  ASSERT_EQ(spec.state, std::vector<NetId>{state0});
+  for (std::uint32_t r = 0; r < 200; ++r)
+    spec.seu.push_back({r * 7 % std::uint32_t{kCycles + 2}, 0});
+  expect_matches_oracle(spec, "shadow-register netlist");
+
+  fault::ReplicaBatchOptions opt;
+  opt.lanes = 64;
+  opt.jobs = 1;
+  const fault::ReplicaBatchResult r = fault::run_replica_batch(spec, opt);
+  ASSERT_GE(spec.seu[26].cycle, kCycles);  // never lands: the golden run
+  EXPECT_NE(r.checksums[1], r.checksums[26]) << "the SEU must show in a grant";
 }
 
 // ---- support/cpu tier resolution. ----
