@@ -92,18 +92,12 @@ SystemArbiter make_system_arbiter(int n, const SystemArbiterSpec& spec) {
       out.arbiter = std::move(rr);
       break;
     }
-    case ArbiterKind::kHierarchical: {
-      auto h = std::make_unique<HierarchicalArbiter>(n, spec.arity);
-      out.hier = h.get();
-      out.arbiter = std::move(h);
+    case ArbiterKind::kHierarchical:
+      out.arbiter = std::make_unique<HierarchicalArbiter>(n, spec.arity);
       break;
-    }
-    case ArbiterKind::kPrefix: {
-      auto p = std::make_unique<PrefixArbiter>(n);
-      out.prefix = p.get();
-      out.arbiter = std::move(p);
+    case ArbiterKind::kPrefix:
+      out.arbiter = std::make_unique<PrefixArbiter>(n);
       break;
-    }
   }
   RCARB_CHECK(out.arbiter != nullptr, "unknown arbiter kind");
   return out;

@@ -10,9 +10,9 @@
 //    the pre-characterized cache (select_arbiter_kind).
 //  * make_system_arbiter: builds the behavioral arbiter for a resolved
 //    kind plus the policy/self-check/hardening switches the simulators
-//    need, and hands back typed side pointers so callers keep their fast
-//    paths (last_grant_mask, SEU injection) without downcasting at every
-//    construction site.
+//    need.  Grants and SEU injection go through core::Arbiter for every
+//    kind; typed side pointers remain only for what is flat-specific
+//    (register legality, hardened recoveries, the self-check error net).
 #pragma once
 
 #include <cstdint>
@@ -71,16 +71,14 @@ struct SystemArbiterSpec {
   std::uint64_t seed = 1;  // kRandom policy only
 };
 
-/// A constructed arbiter plus typed views into it.  Exactly one of the
-/// side pointers is set when the matching subclass was built; all alias
-/// `arbiter` and share its lifetime.
+/// A constructed arbiter plus typed views into it.  At most one side
+/// pointer is set, when the flat round-robin or the self-checking
+/// subclass was built; both alias `arbiter` and share its lifetime.
 struct SystemArbiter {
   std::unique_ptr<Arbiter> arbiter;
   ArbiterKind kind = ArbiterKind::kFlatFsm;
   RoundRobinArbiter* rr = nullptr;
   SelfCheckingArbiter* sc = nullptr;
-  HierarchicalArbiter* hier = nullptr;
-  PrefixArbiter* prefix = nullptr;
 };
 
 /// The single construction path for system-layer arbiters (service engine

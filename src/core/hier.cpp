@@ -16,7 +16,7 @@ int ceil_log2(int m) {
                      static_cast<unsigned>(m) - 1u));
 }
 
-bool word_bit(const std::vector<std::uint64_t>& words, int i) {
+bool word_bit(std::span<const std::uint64_t> words, int i) {
   return ((words[static_cast<std::size_t>(i) >> 6] >>
            (static_cast<unsigned>(i) & 63u)) &
           1u) != 0;
@@ -97,16 +97,15 @@ HierShape make_hier_shape(int n, int arity) {
 // ---------------------------------------------------------- HierarchicalArbiter
 
 HierarchicalArbiter::HierarchicalArbiter(int n, int arity)
-    : WideArbiter(n), shape_(make_hier_shape(n, arity)) {
+    : Arbiter(n, kMaxWideInputs), shape_(make_hier_shape(n, arity)) {
   ptr_.assign(shape_.nodes.size(), 0);
   any_scratch_.assign(std::max<std::size_t>(shape_.nodes.size(), 1), 0);
 }
 
-void HierarchicalArbiter::reset() {
+void HierarchicalArbiter::reset_state() {
   std::fill(ptr_.begin(), ptr_.end(), 0);
   held_ = 0;
   valid_ = false;
-  clear_grant();
 }
 
 std::string HierarchicalArbiter::describe() const {
@@ -114,8 +113,8 @@ std::string HierarchicalArbiter::describe() const {
          ", arity=" + std::to_string(shape_.arity) + ")";
 }
 
-int HierarchicalArbiter::step_wide_impl(
-    const std::vector<std::uint64_t>& requests) {
+int HierarchicalArbiter::transition(
+    std::span<const std::uint64_t> requests) {
   int g = -1;
   bool new_grant = false;
   // Hold path: the current holder keeps its grant while requesting.  An
@@ -172,7 +171,6 @@ int HierarchicalArbiter::step_wide_impl(
 
   if (new_grant) held_ = g;
   valid_ = g >= 0;
-  if (g >= 0) set_grant(g);
   return g;
 }
 
@@ -209,21 +207,21 @@ void HierarchicalArbiter::inject_state_bit(int bit) {
 
 // ----------------------------------------------------------- PrefixArbiter
 
-PrefixArbiter::PrefixArbiter(int n) : WideArbiter(n), ptr_(words(), 0) {
+PrefixArbiter::PrefixArbiter(int n)
+    : Arbiter(n, kMaxWideInputs), ptr_(words(), 0) {
   ptr_[0] = 1;
 }
 
-void PrefixArbiter::reset() {
+void PrefixArbiter::reset_state() {
   std::fill(ptr_.begin(), ptr_.end(), 0);
   ptr_[0] = 1;
-  clear_grant();
 }
 
 std::string PrefixArbiter::describe() const {
   return "prefix-rr(n=" + std::to_string(n_) + ")";
 }
 
-int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
+int PrefixArbiter::transition(std::span<const std::uint64_t> requests) {
   // Thermometer mask from the lowest pointer bit (an SEU can leave the
   // register multi-hot — the mask still starts at the lowest hot bit, or
   // covers nothing when zero-hot, matching the prefix-OR netlist).
@@ -236,8 +234,8 @@ int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
   int first_req = -1;
   const std::size_t words = this->words();
   for (std::size_t w = 0; w < words && (first_hi < 0 || first_req < 0); ++w) {
-    std::uint64_t r = requests[w];
-    if (w + 1 == words && (n_ & 63) != 0) r &= (1ull << (n_ & 63)) - 1;
+    const std::uint64_t r = w + 1 == words ? requests[w] & top_mask_
+                                           : requests[w];
     if (first_req < 0 && r != 0)
       first_req = static_cast<int>(w * 64) + std::countr_zero(r);
     if (first_hi < 0 && lowest >= 0) {
@@ -258,7 +256,6 @@ int PrefixArbiter::step_wide_impl(const std::vector<std::uint64_t>& requests) {
     std::fill(ptr_.begin(), ptr_.end(), 0);
     ptr_[static_cast<std::size_t>(g) >> 6] =
         1ull << (static_cast<unsigned>(g) & 63u);
-    set_grant(g);
   }
   return g;
 }

@@ -91,27 +91,28 @@ struct HierShape {
 /// directly to the parent.
 [[nodiscard]] HierShape make_hier_shape(int n, int arity);
 
-/// Behavioral tree-of-arbiters.  Widths above 64 use step_wide(); the
-/// word-based Arbiter::step() addresses ports 0..63 of a wider instance.
-class HierarchicalArbiter final : public WideArbiter {
+/// Behavioral tree-of-arbiters, 1 <= n <= kMaxWideInputs.
+class HierarchicalArbiter final : public Arbiter {
  public:
   explicit HierarchicalArbiter(int n, int arity = 4);
-  void reset() override;
   [[nodiscard]] std::string describe() const override;
 
   [[nodiscard]] const HierShape& shape() const { return shape_; }
-  [[nodiscard]] int num_state_bits() const { return shape_.num_state_bits(); }
-  /// Packed state register in the canonical HierShape bit order.  Requires
-  /// num_state_bits() <= 64 (the exhaustive model checker's sizes).
+  /// The packed state register, in the canonical HierShape bit order.
+  [[nodiscard]] int num_state_bits() const override {
+    return shape_.num_state_bits();
+  }
+  /// Packed state register.  Requires num_state_bits() <= 64 (the
+  /// exhaustive model checker's sizes).
   [[nodiscard]] std::uint64_t state_bits() const;
-  /// SEU injection: XOR one bit of the packed state register.
-  void inject_state_bit(int bit);
+  void inject_state_bit(int bit) override;
   [[nodiscard]] std::uint64_t waiting_bound(int input) const {
     return shape_.waiting_bound(input);
   }
 
  protected:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests) override;
+  int transition(std::span<const std::uint64_t> requests) override;
+  void reset_state() override;
 
  private:
   HierShape shape_;
@@ -125,22 +126,23 @@ class HierarchicalArbiter final : public WideArbiter {
 /// N-bit one-hot pointer at the last granted port (reset: port 0); grants
 /// scan from the pointer, so a requesting holder is re-granted and the
 /// pointer advances only when the grant moves.
-class PrefixArbiter final : public WideArbiter {
+class PrefixArbiter final : public Arbiter {
  public:
   explicit PrefixArbiter(int n);
-  void reset() override;
   [[nodiscard]] std::string describe() const override;
 
-  [[nodiscard]] int num_state_bits() const { return n_; }
-  /// Packed pointer register (bit i = ptr_i).  Requires n <= 64.
+  /// The N-bit pointer register (bit i = ptr_i).
+  [[nodiscard]] int num_state_bits() const override { return n_; }
+  /// Packed pointer register.  Requires n <= 64.
   [[nodiscard]] std::uint64_t state_bits() const;
-  void inject_state_bit(int bit);
+  void inject_state_bit(int bit) override;
   [[nodiscard]] std::uint64_t waiting_bound(int) const {
     return static_cast<std::uint64_t>(n_ - 1);
   }
 
  protected:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests) override;
+  int transition(std::span<const std::uint64_t> requests) override;
+  void reset_state() override;
 
  private:
   std::vector<std::uint64_t> ptr_;

@@ -16,24 +16,6 @@ const char* to_string(Policy p) {
   return "?";
 }
 
-Arbiter::Arbiter(int n) : n_(n) {
-  // N=1 is degenerate (the sole requester always wins) but well-defined;
-  // the self-checking model checks cover it.
-  RCARB_CHECK(n >= 1 && n <= 64, "arbiter size must be in [1, 64]");
-}
-
-Arbiter::Arbiter(WideTag, int n) : n_(n) {
-  RCARB_CHECK(n >= 1 && n <= kMaxWideInputs,
-              "wide arbiter size must be in [1, kMaxWideInputs]");
-}
-
-int Arbiter::step_wide(const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(n_ <= 64,
-              "this arbiter kind is word-width; widths past 64 ports need a "
-              "wide kind (WideArbiter)");
-  return step(requests.empty() ? 0 : requests[0]);
-}
-
 namespace {
 
 std::size_t word_count(int n) { return static_cast<std::size_t>(n + 63) / 64; }
@@ -44,41 +26,32 @@ void set_bit(std::vector<std::uint64_t>& words, std::size_t bit) {
 
 }  // namespace
 
-// ---------------------------------------------------------------- WideArbiter
-
-WideArbiter::WideArbiter(int n)
-    : Arbiter(WideTag{}, n),
-      grant_(word_count(n), 0),
-      req_scratch_(word_count(n), 0) {}
-
-int WideArbiter::step_wide(const std::vector<std::uint64_t>& requests) {
-  RCARB_CHECK(requests.size() >= words(),
-              "request vector narrower than the arbiter");
-  const int g = advance(requests);
-  notify_wide(requests, g);
-  return g;
+Arbiter::Arbiter(int n, int max_ports) : n_(n) {
+  // N=1 is degenerate (the sole requester always wins) but well-defined;
+  // the self-checking model checks cover it.
+  RCARB_CHECK(n >= 1 && n <= max_ports,
+              "arbiter size must be in [1, " + std::to_string(max_ports) +
+                  "]");
+  top_mask_ = n % 64 == 0 ? ~0ull : (1ull << (n % 64)) - 1;
+  grant_.assign(word_count(n), 0);
 }
 
-int WideArbiter::do_step(std::uint64_t requests) {
-  // step() fires the word-based observer hook itself; going through
-  // advance avoids notifying twice.
-  req_scratch_[0] = requests;
-  return advance(req_scratch_);
+void Arbiter::inject_state_bit(int) {
+  RCARB_CHECK(false, describe() + " models no SEU-exposed state register");
 }
 
 // ---------------------------------------------------------------- RoundRobin
 
 RoundRobinArbiter::RoundRobinArbiter(int n, RoundRobinOptions options)
-    : WideArbiter(n),
+    : Arbiter(n, kMaxWideInputs),
       options_(options),
       reg_(2 * word_count(n), 0),
-      next_reg_(2 * word_count(n), 0),
-      top_mask_(n % 64 == 0 ? ~0ull : (1ull << (n % 64)) - 1) {
+      next_reg_(2 * word_count(n), 0) {
   RCARB_CHECK(options.max_hold_cycles >= 0, "negative max_hold_cycles");
   load_reset_state();
 }
 
-int RoundRobinArbiter::scan(const std::vector<std::uint64_t>& requests,
+int RoundRobinArbiter::scan(std::span<const std::uint64_t> requests,
                             int from) const {
   const std::size_t last = words() - 1;
   const auto word = [&](std::size_t w) {
@@ -99,8 +72,7 @@ int RoundRobinArbiter::scan(const std::vector<std::uint64_t>& requests,
   return -1;
 }
 
-int RoundRobinArbiter::step_wide_impl(
-    const std::vector<std::uint64_t>& requests) {
+int RoundRobinArbiter::transition(std::span<const std::uint64_t> requests) {
   if (hot_count_ != 1) {
     if (!options_.harden) {
       // Zero-hot: no state recognizer fires; the machine is dead.
@@ -139,7 +111,6 @@ int RoundRobinArbiter::step_wide_impl(
     held_cycles_ = (in_c && granted == index) ? held_cycles_ + 1 : 1;
   }
   move_hot_bit(state_bit(granted, true));
-  set_grant(granted);
   return granted;
 }
 
@@ -167,7 +138,7 @@ void RoundRobinArbiter::recount() {
 }
 
 int RoundRobinArbiter::step_multi_hot(
-    const std::vector<std::uint64_t>& requests) {
+    std::span<const std::uint64_t> requests) {
   // Multi-hot: every hot state's single-literal recognizer fires, so the
   // register ORs all their successors and every scan winner is granted at
   // once — mutual exclusion is gone.  Faithful to the unhardened one-hot
@@ -196,9 +167,8 @@ int RoundRobinArbiter::step_multi_hot(
   return -1;
 }
 
-void RoundRobinArbiter::reset() {
+void RoundRobinArbiter::reset_state() {
   load_reset_state();
-  clear_grant();
   held_cycles_ = 0;
 }
 
@@ -231,7 +201,7 @@ RoundRobinArbiter::StateWords RoundRobinArbiter::state_words() const {
 
 bool RoundRobinArbiter::state_legal() const { return hot_count_ == 1; }
 
-void RoundRobinArbiter::inject_bit_flip(int bit) {
+void RoundRobinArbiter::inject_state_bit(int bit) {
   RCARB_CHECK(bit >= 0 && bit < 2 * n_, "state bit out of range");
   const std::size_t b = state_bit(bit < n_ ? bit : bit - n_, bit >= n_);
   reg_[b >> 6] ^= 1ull << (b & 63u);
@@ -240,9 +210,10 @@ void RoundRobinArbiter::inject_bit_flip(int bit) {
 
 // ---------------------------------------------------------------------- FIFO
 
-FifoArbiter::FifoArbiter(int n) : Arbiter(n) {}
+FifoArbiter::FifoArbiter(int n) : Arbiter(n, 64) {}
 
-int FifoArbiter::do_step(std::uint64_t requests) {
+int FifoArbiter::transition(std::span<const std::uint64_t> words) {
+  const std::uint64_t requests = word_requests(words);
   // Newly asserted requests join the queue in index order (simultaneous
   // arrivals tie-break by index, as a hardware FIFO arbiter would).
   for (int t = 0; t < n_; ++t) {
@@ -270,7 +241,7 @@ int FifoArbiter::do_step(std::uint64_t requests) {
   return -1;
 }
 
-void FifoArbiter::reset() {
+void FifoArbiter::reset_state() {
   queue_.clear();
   enqueued_ = 0;
   holder_ = -1;
@@ -282,9 +253,10 @@ std::string FifoArbiter::describe() const {
 
 // ------------------------------------------------------------------ Priority
 
-PriorityArbiter::PriorityArbiter(int n) : Arbiter(n) {}
+PriorityArbiter::PriorityArbiter(int n) : Arbiter(n, 64) {}
 
-int PriorityArbiter::do_step(std::uint64_t requests) {
+int PriorityArbiter::transition(std::span<const std::uint64_t> words) {
+  const std::uint64_t requests = word_requests(words);
   if (holder_ >= 0 && ((requests >> holder_) & 1u)) return holder_;
   holder_ = -1;
   if (requests == 0) return -1;
@@ -292,7 +264,7 @@ int PriorityArbiter::do_step(std::uint64_t requests) {
   return holder_;
 }
 
-void PriorityArbiter::reset() { holder_ = -1; }
+void PriorityArbiter::reset_state() { holder_ = -1; }
 
 std::string PriorityArbiter::describe() const {
   return "priority(" + std::to_string(n_) + ")";
@@ -301,9 +273,10 @@ std::string PriorityArbiter::describe() const {
 // -------------------------------------------------------------------- Random
 
 RandomArbiter::RandomArbiter(int n, std::uint64_t seed)
-    : Arbiter(n), seed_(seed), rng_(seed) {}
+    : Arbiter(n, 64), seed_(seed), rng_(seed) {}
 
-int RandomArbiter::do_step(std::uint64_t requests) {
+int RandomArbiter::transition(std::span<const std::uint64_t> words) {
+  const std::uint64_t requests = word_requests(words);
   if (holder_ >= 0 && ((requests >> holder_) & 1u)) return holder_;
   holder_ = -1;
   const int waiting = std::popcount(requests);
@@ -320,7 +293,7 @@ int RandomArbiter::do_step(std::uint64_t requests) {
   return -1;
 }
 
-void RandomArbiter::reset() {
+void RandomArbiter::reset_state() {
   rng_ = Rng(seed_);
   holder_ = -1;
 }

@@ -18,9 +18,11 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace rcarb::core {
@@ -50,110 +52,96 @@ inline constexpr int kMaxWideInputs = 4096;
 class ArbiterObserver {
  public:
   virtual ~ArbiterObserver() = default;
-  /// Called once per step() with the sampled request vector (masked to the
-  /// arbiter's width) and the resulting grant (-1 = none).
-  virtual void on_step(std::uint64_t requests, int grant) = 0;
-  /// Called once per step_wide() on a wide (vector-request) arbiter with
-  /// the words-encoded request vector (bit i of word i/64 = port i; bits
-  /// past the arbiter's width may carry garbage and must be ignored).  The
-  /// default narrows to the first word, exact for widths <= 64.
-  virtual void on_step_wide(const std::vector<std::uint64_t>& requests,
-                            int grant) {
-    on_step(requests.empty() ? 0 : requests[0], grant);
-  }
+  /// Called once per step with the words-encoded request vector the
+  /// arbiter sampled (bit i of word i/64 = port i; bits past the arbiter's
+  /// width may carry garbage and must be ignored) and the resulting grant
+  /// (-1 = none).  The span is valid only for the call.
+  virtual void on_step(std::span<const std::uint64_t> requests,
+                       int grant) = 0;
 };
 
-/// Cycle-level behavioral arbiter.
+/// Cycle-level behavioral arbiter.  Every kind runs through one entry,
+/// step_wide, which calls the kind's transition once, records the grant
+/// words and notifies the observer once.
 class Arbiter {
  public:
   virtual ~Arbiter() = default;
 
-  /// One clock cycle: presents the request vector (bit i = task i) and
-  /// returns the granted task index, or -1 when no grant is issued.  At
-  /// most one task is ever granted (mutual exclusion).  With no observer
-  /// attached the hook costs one pointer test.
-  int step(std::uint64_t requests) {
-    // Wide arbiters (n > 64) accept every bit of the word; the rest are
-    // masked to their width (the >= keeps the shift in range for both).
-    requests &= (n_ >= 64) ? ~0ull : ((1ull << n_) - 1);
-    const int granted = do_step(requests);
+  /// One clock cycle over a words-encoded request vector (bit i of word
+  /// i/64 = port i; at least ceil(n/64) words, bits past the width are
+  /// ignored).  Returns the granted port, or -1 when no grant is issued.
+  /// At most one port is ever granted in a legal state (mutual
+  /// exclusion).  With no observer attached the hook costs one pointer
+  /// test.
+  int step_wide(std::span<const std::uint64_t> requests) {
+    RCARB_CHECK(requests.size() >= grant_.size(),
+                "request vector narrower than the arbiter");
+    std::fill(grant_.begin(), grant_.end(), 0);
+    const int granted = transition(requests);
+    if (granted >= 0) set_grant(granted);
     if (observer_ != nullptr) observer_->on_step(requests, granted);
     return granted;
   }
 
-  /// One clock cycle over a words-encoded request vector (bit i of word
-  /// i/64 = port i).  The base implementation serves word-width arbiters
-  /// by forwarding to step() (and CHECK-fails past 64 ports); WideArbiter
-  /// overrides it, notifies observers through on_step_wide, and accepts up
-  /// to kMaxWideInputs.
-  virtual int step_wide(const std::vector<std::uint64_t>& requests);
+  /// step_wide over one request word (bit i = task i); arbiters wider
+  /// than 64 ports CHECK-fail.
+  int step(std::uint64_t requests) { return step_wide({&requests, 1}); }
+
+  /// Grants asserted by the last step, words-encoded.  Legal states assert
+  /// at most one; an unhardened multi-hot round-robin register can assert
+  /// several (the mutual-exclusion violation a fault campaign must
+  /// surface), and a self-checking wrapper reports its gated or voted
+  /// grants.
+  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
+    return grant_;
+  }
 
   /// Attaches (or detaches, with nullptr) a borrowed observer.
   void set_observer(ArbiterObserver* observer) { observer_ = observer; }
 
   /// Returns to the reset state.
-  virtual void reset() = 0;
+  void reset() {
+    std::fill(grant_.begin(), grant_.end(), 0);
+    reset_state();
+  }
+
+  /// Bits of the SEU-exposed state register; 0 for kinds that model none.
+  [[nodiscard]] virtual int num_state_bits() const { return 0; }
+  /// SEU injection: XOR one bit of the state register
+  /// (0 <= bit < num_state_bits()).
+  virtual void inject_state_bit(int bit);
 
   [[nodiscard]] int size() const { return n_; }
   [[nodiscard]] virtual std::string describe() const = 0;
 
  protected:
-  explicit Arbiter(int n);
-  /// Wide-arbiter constructor tag: lifts the 64-input cap to
-  /// kMaxWideInputs.  Word-request step() only addresses the first 64
-  /// ports of a wide arbiter; subclasses expose a vector-request entry.
-  struct WideTag {};
-  Arbiter(WideTag, int n);
-  /// Policy-specific transition; `requests` is already width-masked.
-  virtual int do_step(std::uint64_t requests) = 0;
-  /// For step_wide overrides: fires the observer's wide hook.
-  void notify_wide(const std::vector<std::uint64_t>& requests, int granted) {
-    if (observer_ != nullptr) observer_->on_step_wide(requests, granted);
+  /// 1 <= n <= max_ports: 64 for the word-width kinds, kMaxWideInputs for
+  /// the vector-request ones.
+  Arbiter(int n, int max_ports);
+  /// The kind's transition over at least ceil(n/64) request words.  The
+  /// grant words arrive cleared and the returned port is set afterwards;
+  /// a transition only sets grants beyond it (multi-hot, voted).
+  virtual int transition(std::span<const std::uint64_t> requests) = 0;
+  virtual void reset_state() = 0;
+  /// Request word 0 masked to the width: the whole request vector of a
+  /// word-width (n <= 64) kind.
+  [[nodiscard]] std::uint64_t word_requests(
+      std::span<const std::uint64_t> requests) const {
+    return requests[0] & top_mask_;
   }
-  int n_;
-
- private:
-  ArbiterObserver* observer_ = nullptr;
-};
-
-/// Shared plumbing of the vector-request arbiters (RoundRobinArbiter and
-/// the scalable kinds in core/hier.hpp): up to kMaxWideInputs ports, a
-/// words-encoded grant vector, and both entry points routed into one
-/// transition, step_wide_impl.  The word step() addresses ports 0..63.
-class WideArbiter : public Arbiter {
- public:
-  /// One cycle over a words-encoded request vector (bit i of word i/64 =
-  /// port i; bits past the width are ignored).  Returns the granted port
-  /// or -1.
-  int step_wide(const std::vector<std::uint64_t>& requests) final;
-
-  /// Grants asserted by the last step, words-encoded.
-  [[nodiscard]] const std::vector<std::uint64_t>& last_grant_words() const {
-    return grant_;
-  }
-
- protected:
-  explicit WideArbiter(int n);
-  int do_step(std::uint64_t requests) final;
-  /// The kind's transition over at least words() request words.  grant_
-  /// arrives cleared; the transition sets the bits it asserts.
-  virtual int step_wide_impl(const std::vector<std::uint64_t>& requests) = 0;
   [[nodiscard]] std::size_t words() const { return grant_.size(); }
-  void clear_grant() { std::fill(grant_.begin(), grant_.end(), 0); }
   void set_grant(int port) {
     grant_[static_cast<std::size_t>(port) >> 6] |=
         1ull << (static_cast<unsigned>(port) & 63u);
   }
+  void or_grant_word(std::size_t w, std::uint64_t bits) { grant_[w] |= bits; }
+
+  int n_;
+  std::uint64_t top_mask_;  // the ports of the last request word
 
  private:
-  int advance(const std::vector<std::uint64_t>& requests) {
-    clear_grant();
-    return step_wide_impl(requests);
-  }
   std::vector<std::uint64_t> grant_;
-  // The word entry's request vector: do_step writes word 0 only, so the
-  // words past it stay zero from construction on.
-  std::vector<std::uint64_t> req_scratch_;
+  ArbiterObserver* observer_ = nullptr;
 };
 
 /// Options for the round-robin model.
@@ -176,10 +164,9 @@ struct RoundRobinOptions {
 /// held as ceil(n/64) F words and as many C words, so single-event upsets
 /// can be injected and the hardened recovery modeled bit-exactly against
 /// the synthesized netlist at any width.
-class RoundRobinArbiter final : public WideArbiter {
+class RoundRobinArbiter final : public Arbiter {
  public:
   explicit RoundRobinArbiter(int n, RoundRobinOptions options = {});
-  void reset() override;
   [[nodiscard]] std::string describe() const override;
 
   /// The register's hot states as "Fi"/"Ci" names in bit order, joined by
@@ -204,28 +191,22 @@ class RoundRobinArbiter final : public WideArbiter {
   /// True when the register holds exactly one hot bit.
   [[nodiscard]] bool state_legal() const;
 
-  /// SEU injection: XOR one bit of the state register (0 <= bit < 2n).
-  void inject_bit_flip(int bit);
-
-  /// Word 0 of last_grant_words(): the grants among ports 0..63 asserted
-  /// by the last step.  Legal states assert at most one; an unhardened
-  /// multi-hot register can assert several (the mutual-exclusion violation
-  /// a fault campaign must surface).
-  [[nodiscard]] std::uint64_t last_grant_mask() const {
-    return last_grant_words()[0];
-  }
+  /// The 2n bits of the one-hot register (bit i = Fi, bit n+i = Ci).
+  [[nodiscard]] int num_state_bits() const override { return 2 * n_; }
+  void inject_state_bit(int bit) override;
 
   /// Illegal-state recoveries performed so far (hardened mode only).
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
 
  protected:
-  int step_wide_impl(const std::vector<std::uint64_t>& requests) override;
+  int transition(std::span<const std::uint64_t> requests) override;
+  void reset_state() override;
 
  private:
   /// First requesting port cyclically at or after `from`, or -1.
-  [[nodiscard]] int scan(const std::vector<std::uint64_t>& requests,
+  [[nodiscard]] int scan(std::span<const std::uint64_t> requests,
                          int from) const;
-  int step_multi_hot(const std::vector<std::uint64_t>& requests);
+  int step_multi_hot(std::span<const std::uint64_t> requests);
   /// Legal register: moves the one hot bit to reg_ bit `bit`.
   void move_hot_bit(std::size_t bit);
   void load_reset_state();
@@ -256,7 +237,6 @@ class RoundRobinArbiter final : public WideArbiter {
   // bit index of the hot state while hot_count_ == 1.
   int hot_count_ = 1;
   std::size_t hot_bit_ = 0;
-  std::uint64_t top_mask_;  // the ports of the last request word
   std::uint64_t recoveries_ = 0;
   int held_cycles_ = 0;
 };
@@ -265,11 +245,11 @@ class RoundRobinArbiter final : public WideArbiter {
 class FifoArbiter final : public Arbiter {
  public:
   explicit FifoArbiter(int n);
-  void reset() override;
   [[nodiscard]] std::string describe() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int transition(std::span<const std::uint64_t> requests) override;
+  void reset_state() override;
 
  private:
   std::deque<int> queue_;
@@ -281,11 +261,11 @@ class FifoArbiter final : public Arbiter {
 class PriorityArbiter final : public Arbiter {
  public:
   explicit PriorityArbiter(int n);
-  void reset() override;
   [[nodiscard]] std::string describe() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int transition(std::span<const std::uint64_t> requests) override;
+  void reset_state() override;
 
  private:
   int holder_ = -1;
@@ -295,11 +275,11 @@ class PriorityArbiter final : public Arbiter {
 class RandomArbiter final : public Arbiter {
  public:
   RandomArbiter(int n, std::uint64_t seed);
-  void reset() override;
   [[nodiscard]] std::string describe() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int transition(std::span<const std::uint64_t> requests) override;
+  void reset_state() override;
 
  private:
   std::uint64_t seed_;

@@ -108,9 +108,10 @@ synth::Fsm build_lfsr_random_fsm(int n) {
   return fsm;
 }
 
-LfsrRandomArbiter::LfsrRandomArbiter(int n) : Arbiter(n) {}
+LfsrRandomArbiter::LfsrRandomArbiter(int n) : Arbiter(n, 64) {}
 
-int LfsrRandomArbiter::do_step(std::uint64_t requests) {
+int LfsrRandomArbiter::transition(std::span<const std::uint64_t> words) {
+  const std::uint64_t requests = word_requests(words);
   const int next_l = lfsr3_next(lfsr_);
   const int offset = lfsr_ % n_;
   int granted = -1;
@@ -130,7 +131,7 @@ int LfsrRandomArbiter::do_step(std::uint64_t requests) {
   return granted;
 }
 
-void LfsrRandomArbiter::reset() {
+void LfsrRandomArbiter::reset_state() {
   holder_ = -1;
   lfsr_ = 1;
 }

@@ -41,11 +41,11 @@ namespace rcarb::core {
 class LfsrRandomArbiter final : public Arbiter {
  public:
   explicit LfsrRandomArbiter(int n);
-  void reset() override;
   [[nodiscard]] std::string describe() const override;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  int transition(std::span<const std::uint64_t> requests) override;
+  void reset_state() override;
 
  private:
   int holder_ = -1;  // -1: idle

@@ -19,10 +19,9 @@ const char* to_string(CheckMode m) {
 
 SelfCheckingArbiter::SelfCheckingArbiter(int n, CheckMode mode,
                                          RoundRobinOptions options)
-    : Arbiter(n), mode_(mode) {
+    : Arbiter(n, 64), mode_(mode) {
   RCARB_CHECK(mode != CheckMode::kNone,
               "SelfCheckingArbiter needs kDuplicate or kTmr");
-  RCARB_CHECK(n <= 64, "self-checking model requires n <= 64");
   // The copies stay unhardened: the replication layer *is* the hardening,
   // and per-copy recovery logic would let the copies resync to different
   // legal states, pinning the comparator high forever.
@@ -38,18 +37,17 @@ void SelfCheckingArbiter::force_state(int copy,
   auto& a = copies_[static_cast<std::size_t>(copy)];
   std::uint64_t diff = a.state_words().f ^ want.f;
   while (diff != 0) {
-    a.inject_bit_flip(std::countr_zero(diff));
+    a.inject_state_bit(std::countr_zero(diff));
     diff &= diff - 1;
   }
   diff = a.state_words().c ^ want.c;
   while (diff != 0) {
-    a.inject_bit_flip(n_ + std::countr_zero(diff));
+    a.inject_state_bit(n_ + std::countr_zero(diff));
     diff &= diff - 1;
   }
 }
 
-int SelfCheckingArbiter::do_step(std::uint64_t requests) {
-  grant_mask_ = 0;
+int SelfCheckingArbiter::transition(std::span<const std::uint64_t> requests) {
   // A latched-up register refuses every load: re-assert the frozen value
   // before the comparator samples.
   for (std::size_t c = 0; c < copies_.size(); ++c)
@@ -70,9 +68,9 @@ int SelfCheckingArbiter::do_step(std::uint64_t requests) {
       force_state(1, {1, 0});
       return -1;
     }
-    const int g = copies_[0].step(requests);
-    copies_[1].step(requests);
-    grant_mask_ = copies_[0].last_grant_mask();
+    const int g = copies_[0].step_wide(requests);
+    copies_[1].step_wide(requests);
+    or_grant_word(0, copies_[0].last_grant_words()[0]);
     return g;
   }
 
@@ -82,17 +80,18 @@ int SelfCheckingArbiter::do_step(std::uint64_t requests) {
   RoundRobinArbiter::StateWords next[3];
   std::uint64_t mask[3] = {0, 0, 0};
   for (std::size_t c = 0; c < copies_.size(); ++c) {
-    copies_[c].step(requests);
+    copies_[c].step_wide(requests);
     next[c] = copies_[c].state_words();
-    mask[c] = copies_[c].last_grant_mask();
+    mask[c] = copies_[c].last_grant_words()[0];
   }
   const RoundRobinArbiter::StateWords voted = {
       (next[0].f & next[1].f) | (next[0].f & next[2].f) |
           (next[1].f & next[2].f),
       (next[0].c & next[1].c) | (next[0].c & next[2].c) |
           (next[1].c & next[2].c)};
-  grant_mask_ =
+  const std::uint64_t voted_mask =
       (mask[0] & mask[1]) | (mask[0] & mask[2]) | (mask[1] & mask[2]);
+  or_grant_word(0, voted_mask);
   bool rewrote = false;
   for (std::size_t c = 0; c < copies_.size(); ++c) {
     if (next[c] == voted) continue;
@@ -100,13 +99,12 @@ int SelfCheckingArbiter::do_step(std::uint64_t requests) {
     rewrote = true;
   }
   if (rewrote) ++resyncs_;
-  return grant_mask_ == 0 ? -1 : std::countr_zero(grant_mask_);
+  return voted_mask == 0 ? -1 : std::countr_zero(voted_mask);
 }
 
-void SelfCheckingArbiter::reset() {
+void SelfCheckingArbiter::reset_state() {
   for (RoundRobinArbiter& a : copies_) a.reset();
   error_ = false;
-  grant_mask_ = 0;
 }
 
 std::string SelfCheckingArbiter::describe() const {
@@ -127,7 +125,7 @@ RoundRobinArbiter::StateWords SelfCheckingArbiter::state_words(
 
 void SelfCheckingArbiter::inject_bit_flip(int copy, int bit) {
   RCARB_CHECK(copy >= 0 && copy < num_copies(), "copy out of range");
-  copies_[static_cast<std::size_t>(copy)].inject_bit_flip(bit);
+  copies_[static_cast<std::size_t>(copy)].inject_state_bit(bit);
 }
 
 void SelfCheckingArbiter::latch_up(int copy) {

@@ -56,7 +56,6 @@ class SelfCheckingArbiter final : public Arbiter {
  public:
   SelfCheckingArbiter(int n, CheckMode mode, RoundRobinOptions options = {});
 
-  void reset() override;
   [[nodiscard]] std::string describe() const override;
 
   [[nodiscard]] CheckMode mode() const { return mode_; }
@@ -73,10 +72,6 @@ class SelfCheckingArbiter final : public Arbiter {
   /// Resync events: DMR reset reloads / TMR minority rewrites.
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
 
-  /// Every grant asserted by the last step() (DMR: gated off while the
-  /// comparator fires; TMR: bitwise majority of the copies).
-  [[nodiscard]] std::uint64_t last_grant_mask() const { return grant_mask_; }
-
   /// One copy's state register (bit i = Fi, bit n+i = Ci).  Requires
   /// n <= 32 (the packed form); state_words covers the full width.
   [[nodiscard]] std::uint64_t state_bits(int copy) const;
@@ -86,6 +81,10 @@ class SelfCheckingArbiter final : public Arbiter {
 
   /// SEU injection into one copy's state register (0 <= bit < 2n).
   void inject_bit_flip(int copy, int bit);
+  /// The Arbiter-level register is copy 0's: 2n bits, upset one copy at a
+  /// time.
+  [[nodiscard]] int num_state_bits() const override { return 2 * n_; }
+  void inject_state_bit(int bit) override { inject_bit_flip(0, bit); }
 
   /// Permanent-fault injection: freezes `copy`'s register at its current
   /// value — every later load (step, resync, reset) is ignored, so the
@@ -96,7 +95,10 @@ class SelfCheckingArbiter final : public Arbiter {
   [[nodiscard]] bool latched() const;
 
  protected:
-  int do_step(std::uint64_t requests) override;
+  /// Grant words: DMR gates them off while the comparator fires; TMR
+  /// asserts the bitwise majority of the copies.
+  int transition(std::span<const std::uint64_t> requests) override;
+  void reset_state() override;
 
  private:
   void force_state(int copy, RoundRobinArbiter::StateWords want);
@@ -107,7 +109,6 @@ class SelfCheckingArbiter final : public Arbiter {
   std::vector<RoundRobinArbiter::StateWords> latched_state_;
   std::vector<bool> latched_;
   bool error_ = false;
-  std::uint64_t grant_mask_ = 0;
   std::uint64_t error_cycles_ = 0;
   std::uint64_t resyncs_ = 0;
 };

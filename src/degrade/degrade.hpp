@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/selfcheck.hpp"
-#include "partition/channel_map.hpp"
 #include "synth/encoding.hpp"
 
 namespace rcarb::degrade {
@@ -54,12 +53,6 @@ struct DegradeOptions {
   /// regenerated arbiter's region.
   std::uint64_t reconfig_base_cycles = 8;
   std::uint64_t reconfig_cycles_per_clb = 4;
-  /// Optional partition-layer channel map.  When use_channel_map is set
-  /// the supervisor re-merges quarantined channels via
-  /// part::remap_channels (PE-pair and width feasibility enforced);
-  /// otherwise the Binding-level least-loaded fallback is used.
-  bool use_channel_map = false;
-  part::ChannelMapResult channel_map;
 };
 
 /// Evidence classes feeding the strike tracker.
@@ -238,10 +231,8 @@ struct BankRemapPlan {
 
 /// Group-move plan for a dead physical channel at the Binding level:
 /// every logical channel it carried moves to the least-loaded surviving
-/// physical channel (fewest logical channels, then lowest index).  Used
-/// when no partition-layer channel map is available; with one,
-/// part::remap_channels additionally enforces PE-pair and width
-/// feasibility.
+/// physical channel (fewest logical channels, then lowest index).  The
+/// Binding knows no PE pairs or widths, so neither is checked.
 struct ChannelRemapPlan {
   bool feasible = false;
   int dead_phys = -1;

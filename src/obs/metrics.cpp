@@ -167,16 +167,10 @@ ArbiterProbe::ArbiterProbe(ArbiterMetrics* metrics) : m_(metrics) {
   m_->port.assign(n, PortMetrics{});
   wait_.assign(n, 0);
   turns_.assign(n, 0);
-  word_.assign((n + 63) / 64 + (n == 0 ? 1 : 0), 0);
 }
 
-void ArbiterProbe::on_step(std::uint64_t requests, int grant) {
-  word_[0] = requests;
-  on_step_wide(word_, grant);
-}
-
-void ArbiterProbe::on_step_wide(const std::vector<std::uint64_t>& requests,
-                                int grant) {
+void ArbiterProbe::on_step(std::span<const std::uint64_t> requests,
+                           int grant) {
   const auto ports = static_cast<std::size_t>(m_->ports);
   const auto req_bit = [&](std::size_t i) {
     const std::size_t w = i >> 6;

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,13 +125,10 @@ struct ArbiterMetrics {
 /// metrics object and must outlive the attachment.
 class ArbiterProbe final : public core::ArbiterObserver {
  public:
-  /// `metrics` must have `ports` set; `port` is resized here.  Widths past
-  /// 64 are fed through the wide hook (core::Arbiter::step_wide).
+  /// `metrics` must have `ports` set; `port` is resized here.
   explicit ArbiterProbe(ArbiterMetrics* metrics);
 
-  void on_step(std::uint64_t requests, int grant) override;
-  void on_step_wide(const std::vector<std::uint64_t>& requests,
-                    int grant) override;
+  void on_step(std::span<const std::uint64_t> requests, int grant) override;
 
   /// Flushes the in-flight hold interval (call once, after the last step).
   void finish();
@@ -141,7 +139,6 @@ class ArbiterProbe final : public core::ArbiterObserver {
   std::uint64_t hold_len_ = 0;
   std::vector<std::uint64_t> wait_;   // per-port in-flight wait
   std::vector<std::uint64_t> turns_;  // per-port other-grants while waiting
-  std::vector<std::uint64_t> word_;   // scratch widening word-based steps
 };
 
 }  // namespace rcarb::obs

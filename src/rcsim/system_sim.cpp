@@ -426,24 +426,14 @@ class SystemSimulator::Engine {
     while (flip_next_ < flips_.size() && flips_[flip_next_].cycle <= cycle_) {
       const fault::FaultEvent& e = flips_[flip_next_++];
       const auto a = static_cast<std::size_t>(e.arbiter);
-      const core::SystemArbiter& hw = arbs_[a].hw;
-      // The flat kinds keep the one-hot F/C pair; the scalable kinds keep
-      // packed (pointer/held) registers, and upsets land in that layout.
-      const int bits = hw.rr != nullptr || hw.sc != nullptr
-                           ? 2 * result_.arbiters[a].ports
-                       : hw.hier != nullptr   ? hw.hier->num_state_bits()
-                       : hw.prefix != nullptr ? hw.prefix->num_state_bits()
-                                              : 0;
+      // Upsets land in the kind's register layout: the one-hot F/C pair of
+      // the flat kinds (copy 0 of a self-checking one), the packed
+      // pointer/held registers of the scalable kinds; the other policies
+      // model no register.
+      core::Arbiter& arb = *arbs_[a].hw.arbiter;
+      const int bits = arb.num_state_bits();
       if (bits == 0) continue;
-      const int bit = e.bit >= 0 ? e.bit % bits : 0;
-      if (hw.rr != nullptr)
-        hw.rr->inject_bit_flip(bit);
-      else if (hw.sc != nullptr)
-        hw.sc->inject_bit_flip(0, bit);  // upsets hit one copy at a time
-      else if (hw.hier != nullptr)
-        hw.hier->inject_state_bit(bit);
-      else
-        hw.prefix->inject_state_bit(bit);
+      arb.inject_state_bit(e.bit >= 0 ? e.bit % bits : 0);
       trace(obs::TraceKind::kFault, -1, static_cast<int>(a),
             plan_.arbiters[a].resource, static_cast<std::int64_t>(e.kind));
     }
@@ -490,10 +480,7 @@ class SystemSimulator::Engine {
       if (rec.hw.rr != nullptr) check_register(a);
 
       const int g = rec.hw.arbiter->step(eff);
-      const std::uint64_t mask =
-          rec.hw.rr != nullptr   ? rec.hw.rr->last_grant_mask()
-          : rec.hw.sc != nullptr ? rec.hw.sc->last_grant_mask()
-                                 : (g >= 0 ? (1ull << g) : 0);
+      const std::uint64_t mask = rec.hw.arbiter->last_grant_words()[0];
       collect_evidence(a, mask);
       rec.grant_mask = mask & ~grant_suppress;
       account_grant(a, g);
@@ -529,7 +516,7 @@ class SystemSimulator::Engine {
     if (rec.latched_plain && rec.hw.rr != nullptr) {
       std::uint64_t bits = rec.hw.rr->state_bits();
       while (bits != 0) {
-        rec.hw.rr->inject_bit_flip(std::countr_zero(bits));
+        rec.hw.rr->inject_state_bit(std::countr_zero(bits));
         bits &= bits - 1;
       }
     }
@@ -1510,13 +1497,6 @@ class SystemSimulator::Engine {
     for (std::size_t p = 0; p < binding_.num_phys_channels; ++p)
       dead[p] = unusable(binding_.channel_resource(static_cast<int>(p)));
     q.repair = Repair::kChannel;
-    if (opt_.degrade.use_channel_map) {
-      const part::ChannelRemap cm = part::remap_channels(
-          graph_, opt_.degrade.channel_map, dead_phys, dead);
-      q.target = cm.moved.empty() ? -1 : cm.target_phys;
-      q.moved.assign(cm.moved.begin(), cm.moved.end());
-      return cm.feasible;
-    }
     const degrade::ChannelRemapPlan plan = degrade::plan_channel_remap(
         binding_.channel_to_phys, binding_.num_phys_channels, dead_phys, dead);
     q.target = plan.moved_channels.empty() ? -1 : plan.target_phys;

@@ -110,7 +110,10 @@ struct SimOptions {
   /// per cycle when on, nothing when off.
   bool record_request_trace = false;
 
-  // ---- Overload control (open-loop service frontend, src/service). ----
+  // ---- Overload control (closed-loop). ----
+  // rcsim's counterpart of the open-loop service's admission limit and
+  // retry budget; the service (src/service) runs its own engine and never
+  // goes through rcsim.
   /// Bounded admission per arbiter: a task trying to assert Req while the
   /// arbiter's previous-cycle request wire already carries this many
   /// *other* requesters is refused at the request edge — one kRejected

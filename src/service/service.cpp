@@ -195,7 +195,7 @@ class Engine {
             const int b = e.bit >= 0 ? e.bit % total : 0;
             st.arb.sc->inject_bit_flip(b / per_copy, b % per_copy);
           } else if (st.arb.rr != nullptr) {
-            st.arb.rr->inject_bit_flip(e.bit >= 0 ? e.bit % per_copy : 0);
+            st.arb.rr->inject_state_bit(e.bit >= 0 ? e.bit % per_copy : 0);
           }
           break;
         }
@@ -332,10 +332,8 @@ class Engine {
   /// (possibly replicated) arbiter, sample the error net, serve the grant.
   void arbitrate_and_serve(int r, ResourceState& st, ResourceStats& rs) {
     if (st.latched) return;  // frozen register: no clocking, no grants
-    // Fig. 8 request lines: waiting and serving slots keep Req asserted.
-    // Words-encoded so widths past 64 work: the round-robin kinds take the
-    // vector at any width, and the word-width arbiters (self-checking,
-    // other policies) forward word 0 to step().
+    // Fig. 8 request lines: waiting and serving slots keep Req asserted,
+    // words-encoded so every kind takes them at its width.
     std::fill(st.req_words.begin(), st.req_words.end(), 0);
     for (std::size_t p = 0; p < st.slots.size(); ++p)
       if (st.slots[p].state != Slot::State::kIdle)

@@ -96,7 +96,7 @@ TEST_P(SelfCheckModel, EveryReachableStateKeepsMutualExclusion) {
         ASSERT_EQ(a.state_bits(c), a.state_bits(0))
             << "fault-free copies diverged";
       const int g = a.step(req);
-      const std::uint64_t mask = a.last_grant_mask();
+      const std::uint64_t mask = a.last_grant_words()[0];
       ASSERT_FALSE(a.error()) << "comparator fired without a fault";
       ASSERT_LE(std::popcount(mask), 1) << "mutual exclusion violated";
       ASSERT_EQ(mask & ~req, 0u) << "granted a non-requester";
@@ -113,7 +113,7 @@ TEST_P(SelfCheckModel, MatchesThePlainArbiterFaultFree) {
   for (int cyc = 0; cyc < 1000; ++cyc) {
     const std::uint64_t req = rng.next_below(1ull << n);
     EXPECT_EQ(sc.step(req), plain.step(req)) << "cycle " << cyc;
-    EXPECT_EQ(sc.last_grant_mask(), plain.last_grant_mask());
+    EXPECT_EQ(sc.last_grant_words(), plain.last_grant_words());
     EXPECT_FALSE(sc.error());
   }
   EXPECT_EQ(sc.error_cycles(), 0u);
@@ -166,11 +166,11 @@ TEST_P(SelfCheckModel, EverySingleBitUpsetRecoversOrRaisesErrorInOneClock) {
           if (mode == CheckMode::kDuplicate) {
             // Fail-safe: a suspect DMR arbiter grants nobody.
             ASSERT_EQ(g, -1);
-            ASSERT_EQ(a.last_grant_mask(), 0u);
+            ASSERT_EQ(a.last_grant_words()[0], 0u);
           } else {
             // TMR outvotes the minority with no grant gap.
             ASSERT_EQ(g, gr);
-            ASSERT_EQ(a.last_grant_mask(), ref.last_grant_mask());
+            ASSERT_EQ(a.last_grant_words(), ref.last_grant_words());
             ASSERT_EQ(a.state_bits(c), ref.state_bits(0))
                 << "minority copy not rewritten at the clock edge";
           }
@@ -306,7 +306,7 @@ TEST_P(SelfCheckNetlist, NetlistMatchesBehavioralModelUnderUpsets) {
     beh.step(req);
     for (int i = 0; i < n; ++i)
       ASSERT_EQ(sim.get(grant_net[static_cast<std::size_t>(i)]),
-                ((beh.last_grant_mask() >> i) & 1) != 0)
+                ((beh.last_grant_words()[0] >> i) & 1) != 0)
           << "grant" << i << " diverged at cycle " << cyc;
     ASSERT_EQ(sim.get(error_net), beh.error())
         << "`error` net diverged at cycle " << cyc;

@@ -5,8 +5,9 @@
 // structural generator, behavioral-vs-netlist lockstep under matched
 // SEUs for all three kinds (and for the flat chain past one request
 // word), pinned per-kind grant sequences, fuzzed wide runs (N = 64/256,
-// 10^5 cycles) asserting one-hot grants and no starvation, and synthesis
-// sanity of the scalable generator.
+// 10^5 cycles) asserting one-hot grants and no starvation, the one step
+// contract every arbiter kind shares (entries, observer hook, grant words,
+// state register), and synthesis sanity of the scalable generator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "core/generator.hpp"
 #include "core/hier.hpp"
 #include "core/policy.hpp"
+#include "core/policy_fsms.hpp"
 #include "core/rr_fsm.hpp"
 #include "core/structural.hpp"
 #include "netlist/simulator.hpp"
@@ -83,12 +86,13 @@ TEST(HierShape, PowerOfTwoBinaryTreesAreFair) {
   }
 }
 
-// =========================================== uniform model-under-test shim
+// ==================================================== models under test
 //
 // The exhaustive checks below run the same walk over all four behavioral
 // models (the flat Fig. 5 FSM, 2- and 4-way trees, and the prefix
-// arbiter), so each gets a thin uniform adapter: step, grant mask, packed
-// state register, SEU injection, and the kind's waiting bound.
+// arbiter) through core::Arbiter: step, grant words, the state-register
+// width and SEU injection.  Only reading the packed register back and the
+// kind's waiting bound need the kind.
 
 enum class MKind { kFlat, kHier2, kHier4, kPrefix };
 
@@ -102,90 +106,43 @@ const char* to_string(MKind k) {
   return "?";
 }
 
-class Model {
- public:
-  virtual ~Model() = default;
-  virtual int step(std::uint64_t req) = 0;
-  [[nodiscard]] virtual std::uint64_t grant_mask() const = 0;
-  [[nodiscard]] virtual std::uint64_t state() const = 0;
-  [[nodiscard]] virtual int num_state_bits() const = 0;
-  virtual void inject(int bit) = 0;
-  [[nodiscard]] virtual std::uint64_t bound(int input) const = 0;
-};
-
-class FlatModel final : public Model {
- public:
-  explicit FlatModel(int n) : arb_(n), n_(n) {}
-  int step(std::uint64_t req) override { return arb_.step(req); }
-  [[nodiscard]] std::uint64_t grant_mask() const override {
-    return arb_.last_grant_mask();
-  }
-  [[nodiscard]] std::uint64_t state() const override {
-    return arb_.state_bits();
-  }
-  [[nodiscard]] int num_state_bits() const override { return 2 * n_; }
-  void inject(int bit) override { arb_.inject_bit_flip(bit); }
-  [[nodiscard]] std::uint64_t bound(int) const override {
-    return static_cast<std::uint64_t>(n_ - 1);
-  }
-
- private:
-  RoundRobinArbiter arb_;
-  int n_;
-};
-
-class HierModel final : public Model {
- public:
-  HierModel(int n, int arity) : arb_(n, arity) {}
-  int step(std::uint64_t req) override { return arb_.step(req); }
-  [[nodiscard]] std::uint64_t grant_mask() const override {
-    return arb_.last_grant_words()[0];
-  }
-  [[nodiscard]] std::uint64_t state() const override {
-    return arb_.state_bits();
-  }
-  [[nodiscard]] int num_state_bits() const override {
-    return arb_.num_state_bits();
-  }
-  void inject(int bit) override { arb_.inject_state_bit(bit); }
-  [[nodiscard]] std::uint64_t bound(int input) const override {
-    return arb_.waiting_bound(input);
-  }
-
- private:
-  HierarchicalArbiter arb_;
-};
-
-class PrefixModel final : public Model {
- public:
-  explicit PrefixModel(int n) : arb_(n) {}
-  int step(std::uint64_t req) override { return arb_.step(req); }
-  [[nodiscard]] std::uint64_t grant_mask() const override {
-    return arb_.last_grant_words()[0];
-  }
-  [[nodiscard]] std::uint64_t state() const override {
-    return arb_.state_bits();
-  }
-  [[nodiscard]] int num_state_bits() const override {
-    return arb_.num_state_bits();
-  }
-  void inject(int bit) override { arb_.inject_state_bit(bit); }
-  [[nodiscard]] std::uint64_t bound(int input) const override {
-    return arb_.waiting_bound(input);
-  }
-
- private:
-  PrefixArbiter arb_;
-};
-
-std::unique_ptr<Model> make_model(MKind kind, int n) {
+std::unique_ptr<core::Arbiter> make_model(MKind kind, int n) {
   switch (kind) {
-    case MKind::kFlat: return std::make_unique<FlatModel>(n);
-    case MKind::kHier2: return std::make_unique<HierModel>(n, 2);
-    case MKind::kHier4: return std::make_unique<HierModel>(n, 4);
-    case MKind::kPrefix: return std::make_unique<PrefixModel>(n);
+    case MKind::kFlat: return std::make_unique<RoundRobinArbiter>(n);
+    case MKind::kHier2: return std::make_unique<HierarchicalArbiter>(n, 2);
+    case MKind::kHier4: return std::make_unique<HierarchicalArbiter>(n, 4);
+    case MKind::kPrefix: return std::make_unique<PrefixArbiter>(n);
   }
   return nullptr;
+}
+
+/// The model's packed state register.
+std::uint64_t packed_state(MKind kind, const core::Arbiter& m) {
+  switch (kind) {
+    case MKind::kFlat:
+      return static_cast<const RoundRobinArbiter&>(m).state_bits();
+    case MKind::kHier2:
+    case MKind::kHier4:
+      return static_cast<const HierarchicalArbiter&>(m).state_bits();
+    case MKind::kPrefix:
+      return static_cast<const PrefixArbiter&>(m).state_bits();
+  }
+  return 0;
+}
+
+/// Other grants port `input` may see between two of its own under
+/// continuous contention: the tree's composed bound, N-1 for the rest.
+std::uint64_t waiting_bound(MKind kind, int n, int input) {
+  switch (kind) {
+    case MKind::kHier2:
+    case MKind::kHier4:
+      return core::make_hier_shape(n, kind == MKind::kHier2 ? 2 : 4)
+          .waiting_bound(input);
+    case MKind::kFlat:
+    case MKind::kPrefix:
+      break;
+  }
+  return static_cast<std::uint64_t>(n - 1);
 }
 
 // ===================================================== exhaustive model check
@@ -209,7 +166,7 @@ std::vector<std::vector<std::uint64_t>> reachable_witnesses(MKind kind,
   std::deque<std::vector<std::uint64_t>> work;
   {
     auto m = make_model(kind, n);
-    seen.emplace(m->state(), std::vector<std::uint64_t>{});
+    seen.emplace(packed_state(kind, *m), std::vector<std::uint64_t>{});
   }
   work.emplace_back();
   const std::uint64_t reqs = 1ull << n;
@@ -220,7 +177,7 @@ std::vector<std::vector<std::uint64_t>> reachable_witnesses(MKind kind,
       auto m = make_model(kind, n);
       for (const std::uint64_t r : w) m->step(r);
       m->step(req);
-      const std::uint64_t s = m->state();
+      const std::uint64_t s = packed_state(kind, *m);
       if (seen.count(s) != 0) continue;
       std::vector<std::uint64_t> w2 = w;
       w2.push_back(req);
@@ -245,7 +202,7 @@ TEST_P(ScalableModel, EveryReachableStateKeepsMutualExclusion) {
       auto m = make_model(kind, n);
       for (const std::uint64_t r : w) m->step(r);
       const int g = m->step(req);
-      const std::uint64_t mask = m->grant_mask();
+      const std::uint64_t mask = m->last_grant_words()[0];
       ASSERT_LE(std::popcount(mask), 1) << "mutual exclusion violated";
       ASSERT_EQ(mask & ~req, 0u) << "granted a non-requester";
       ASSERT_EQ(g >= 0 ? (1ull << g) : 0ull, mask);
@@ -277,7 +234,8 @@ TEST_P(ScalableModel, WaitingIsBoundedFromEveryReachableState) {
       if (g >= 0) {
         const std::size_t gi = static_cast<std::size_t>(g);
         if (others[gi] >= 0) {
-          ASSERT_LE(static_cast<std::uint64_t>(others[gi]), m->bound(g))
+          ASSERT_LE(static_cast<std::uint64_t>(others[gi]),
+                    waiting_bound(kind, n, g))
               << "port " << g << " waited past its bound at cycle " << cyc;
         }
         for (int i = 0; i < n; ++i)
@@ -461,7 +419,7 @@ TEST_P(ScalableLockstep, NetlistMatchesBehavioralModelUnderUpsets) {
       // state onward (zero-hot pointers, out-of-range held indices, ...).
       const int b = static_cast<int>(rng.next_below(
           static_cast<std::uint64_t>(recipe.num_state_bits)));
-      beh->inject(b);
+      beh->inject_state_bit(b);
       const netlist::NetId net = state_net[static_cast<std::size_t>(b)];
       sim.poke_register(net, !sim.get(net));
     }
@@ -471,7 +429,7 @@ TEST_P(ScalableLockstep, NetlistMatchesBehavioralModelUnderUpsets) {
                     ((req >> i) & 1) != 0);
     sim.settle();
     beh->step(req);
-    const std::uint64_t mask = beh->grant_mask();
+    const std::uint64_t mask = beh->last_grant_words()[0];
     for (int i = 0; i < n; ++i)
       ASSERT_EQ(sim.get(grant_net[static_cast<std::size_t>(i)]),
                 ((mask >> i) & 1) != 0)
@@ -540,24 +498,20 @@ TEST_P(WideFuzz, OneHotGrantsAndNoStarvationOver1e5Cycles) {
   core::SystemArbiterSpec spec;
   spec.kind = kind;
   spec.arity = arity;  // read by kHierarchical only
-  const core::SystemArbiter made = core::make_system_arbiter(n, spec);
-  // Access the wide surface through the factory's typed views.
-  HierarchicalArbiter* const hier = made.hier;
-  PrefixArbiter* const prefix = made.prefix;
-  RoundRobinArbiter* const flat = made.rr;
-  ASSERT_TRUE(hier != nullptr || prefix != nullptr || flat != nullptr);
+  const std::unique_ptr<core::Arbiter> arb =
+      core::make_system_arbiter(n, spec).arbiter;
   auto step_wide = [&](const std::vector<std::uint64_t>& req) {
-    return made.arbiter->step_wide(req);
+    return arb->step_wide(req);
   };
   auto grant_words = [&]() -> const std::vector<std::uint64_t>& {
-    if (hier != nullptr) return hier->last_grant_words();
-    if (prefix != nullptr) return prefix->last_grant_words();
-    return flat->last_grant_words();
+    return arb->last_grant_words();
   };
+  // The tree's composed bound; N - 1 for the flat chain and the prefix.
+  const HierShape shape = core::make_hier_shape(n, arity > 0 ? arity : 4);
   auto bound = [&](int i) {
-    if (hier != nullptr) return hier->waiting_bound(i);
-    if (prefix != nullptr) return prefix->waiting_bound(i);
-    return static_cast<std::uint64_t>(n - 1);  // the flat chain's N - 1
+    return kind == ArbiterKind::kHierarchical
+               ? shape.waiting_bound(i)
+               : static_cast<std::uint64_t>(n - 1);
   };
 
   const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
@@ -647,37 +601,43 @@ INSTANTIATE_TEST_SUITE_P(
 // ================================= one Fig. 5 model through both entries
 
 TEST(RoundRobinWide, WordAndVectorEntriesAgreeAtEveryWidth) {
-  // The word entry (step) and the vector entry (step_wide) run the same
-  // transition at every width: twins driven one through each stay in the
-  // same state and assert the same grant words.  The word entry sees ports
-  // 0..63 only, so the vector twin gets the same word 0, zeros above it,
-  // and garbage past the width, which it must ignore.
+  // Twins driven through different entries run the same transition: they
+  // stay in the same state and assert the same grant words.  Up to 64
+  // ports one twin takes the word entry (step) and the other the vector
+  // entry (step_wide) with garbage past the width, which it must ignore.
+  // Past 64 ports the word entry CHECK-fails, so a clean-padded vector
+  // twin is compared against one with garbage past the width.
   for (const int n : {1, 2, 7, 33, 64, 65, 130}) {
-    RoundRobinArbiter word(n);
-    RoundRobinArbiter vec(n);
-    const std::uint64_t mask = n >= 64 ? ~0ull : (1ull << n) - 1;
+    RoundRobinArbiter clean_twin(n);
+    RoundRobinArbiter dirty_twin(n);
     const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
     const std::uint64_t past_width =
         n % 64 == 0 ? 0 : ~((1ull << (n % 64)) - 1);
     Rng rng(9000 + static_cast<std::uint64_t>(n));
-    std::vector<std::uint64_t> req_words(words, 0);
-    req_words[words - 1] = past_width;
+    std::vector<std::uint64_t> clean(words, 0);
     int last = -1;
     for (int cyc = 0; cyc < 50'000; ++cyc) {
       // Force empty vectors in regularly so the Ci -> F(i+1) retirement
       // path is exercised at every width.
-      const std::uint64_t req =
-          cyc % 7 == 3 ? 0 : (rng.next_u64() & mask);
-      req_words[0] = req | (words == 1 ? past_width : 0);
-      const int want = word.step(req);
-      ASSERT_EQ(vec.step_wide(req_words), want)
+      bool empty = true;
+      for (std::uint64_t& w : clean) {
+        w = cyc % 7 == 3 ? 0 : rng.next_u64();
+        if (&w == &clean.back()) w &= ~past_width;
+        empty = empty && w == 0;
+      }
+      std::vector<std::uint64_t> dirty = clean;
+      dirty.back() |= past_width;
+      const int want =
+          n <= 64 ? clean_twin.step(clean[0]) : clean_twin.step_wide(clean);
+      ASSERT_EQ(dirty_twin.step_wide(dirty), want)
           << "n=" << n << " cycle " << cyc;
-      ASSERT_EQ(vec.last_grant_words(), word.last_grant_words())
+      ASSERT_EQ(dirty_twin.last_grant_words(), clean_twin.last_grant_words())
           << "n=" << n << " cycle " << cyc;
-      ASSERT_EQ(vec.state_name(), word.state_name())
+      ASSERT_EQ(dirty_twin.state_name(), clean_twin.state_name())
           << "n=" << n << " cycle " << cyc;
-      if (req == 0 && last >= 0) {
-        ASSERT_EQ(word.state_name(), "F" + std::to_string((last + 1) % n))
+      if (empty && last >= 0) {
+        ASSERT_EQ(clean_twin.state_name(),
+                  "F" + std::to_string((last + 1) % n))
             << "n=" << n << " cycle " << cyc << ": C" << last
             << " must retire to its successor";
       }
@@ -729,7 +689,7 @@ TEST_P(FlatWideLockstep, NetlistMatchesRoundRobinArbiterUnderUpsets) {
     if (cyc % 37 == 17) {
       const int b = static_cast<int>(
           rng.next_below(2 * static_cast<std::uint64_t>(n)));
-      beh.inject_bit_flip(b);
+      beh.inject_state_bit(b);
       const netlist::NetId net = state_net[static_cast<std::size_t>(b)];
       sim.poke_register(net, !sim.get(net));
     }
@@ -779,70 +739,155 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FlatWideLockstep,
                            return "n" + std::to_string(pi.param);
                          });
 
-// ==================================================== wide observer routing
+// ============================================ one step path for every kind
 
 struct RecordingObserver final : core::ArbiterObserver {
-  int word_calls = 0;
-  int wide_calls = 0;
+  int calls = 0;
   std::vector<std::uint64_t> last_req;
   int last_grant = -2;
-  void on_step(std::uint64_t requests, int grant) override {
-    ++word_calls;
-    last_req = {requests};
-    last_grant = grant;
-  }
-  void on_step_wide(const std::vector<std::uint64_t>& requests,
-                    int grant) override {
-    ++wide_calls;
-    last_req = requests;
+  void on_step(std::span<const std::uint64_t> requests, int grant) override {
+    ++calls;
+    last_req.assign(requests.begin(), requests.end());
     last_grant = grant;
   }
 };
 
-TEST(WideObserver, EveryEntryPointNotifiesExactlyOnce) {
-  // Wide arbiters notify through on_step_wide from both entry points;
-  // word-width arbiters driven through the base step_wide still notify
-  // through on_step.  No path may notify twice per cycle.
-  core::PrefixArbiter wide(100);
-  RecordingObserver obs;
-  wide.set_observer(&obs);
-  std::vector<std::uint64_t> req = {0, 1ull << 8};  // port 72 only
-  EXPECT_EQ(wide.step_wide(req), 72);
-  EXPECT_EQ(obs.wide_calls, 1);
-  EXPECT_EQ(obs.word_calls, 0);
-  EXPECT_EQ(obs.last_req, req);
-  EXPECT_EQ(obs.last_grant, 72);
-  // The word entry covers ports 0..63 of a wide arbiter and notifies
-  // through the word hook (obs::ArbiterProbe forwards it to the wide one).
-  EXPECT_EQ(wide.step(1ull << 5), 5);
-  EXPECT_EQ(obs.wide_calls, 1);
-  EXPECT_EQ(obs.word_calls, 1);
-  EXPECT_EQ(obs.last_grant, 5);
+struct EveryKind {
+  const char* name = "";
+  int n = 8;
+  core::Policy policy = core::Policy::kRoundRobin;
+  ArbiterKind kind = ArbiterKind::kFlatFsm;
+  core::CheckMode check = core::CheckMode::kNone;
+  bool lfsr = false;  // the LFSR twin of the synthesized random policy
 
-  core::FifoArbiter narrow(8);
-  RecordingObserver nobs;
-  narrow.set_observer(&nobs);
-  EXPECT_EQ(narrow.step_wide({0b100}), 2);
-  EXPECT_EQ(nobs.word_calls, 1);
-  EXPECT_EQ(nobs.wide_calls, 0);
-  EXPECT_EQ(nobs.last_grant, 2);
-}
+  [[nodiscard]] std::unique_ptr<core::Arbiter> make() const {
+    if (lfsr) return std::make_unique<core::LfsrRandomArbiter>(n);
+    core::SystemArbiterSpec spec;
+    spec.policy = policy;
+    spec.kind = kind;
+    spec.self_check = check;
+    return core::make_system_arbiter(n, spec).arbiter;
+  }
+};
 
-TEST(WideObserver, BaseStepWideRejectsWidthsPast64) {
-  // A word-width arbiter must refuse vector requests it cannot see.
-  RoundRobinArbiter narrow(64);
-  EXPECT_EQ(narrow.step_wide({1ull << 63}), 63);
-  class WordOnly final : public core::Arbiter {
-   public:
-    explicit WordOnly(int n) : Arbiter(WideTag{}, n) {}
-    void reset() override {}
-    [[nodiscard]] std::string describe() const override { return "word"; }
+// Every kind make_system_arbiter builds (make_arbiter's policies included)
+// plus the LFSR arbiter.
+const EveryKind kEveryKind[] = {
+    {.name = "rr8"},
+    {.name = "rr130", .n = 130},
+    {.name = "tree8", .kind = ArbiterKind::kHierarchical},
+    {.name = "prefix100", .n = 100, .kind = ArbiterKind::kPrefix},
+    {.name = "fifo8", .policy = core::Policy::kFifo},
+    {.name = "priority8", .policy = core::Policy::kPriority},
+    {.name = "random8", .policy = core::Policy::kRandom},
+    {.name = "lfsr8", .lfsr = true},
+    {.name = "dmr8", .check = core::CheckMode::kDuplicate},
+    {.name = "tmr8", .check = core::CheckMode::kTmr},
+};
 
-   protected:
-    int do_step(std::uint64_t) override { return -1; }
-  };
-  WordOnly bad(100);
-  EXPECT_THROW((void)bad.step_wide({1, 1}), CheckError);
+TEST(ArbiterContract, EveryKindStepsThroughOneEntryAndOneHook) {
+  for (const EveryKind& kind : kEveryKind) {
+    SCOPED_TRACE(kind.name);
+    const std::unique_ptr<core::Arbiter> word_twin = kind.make();
+    const std::unique_ptr<core::Arbiter> vec_twin = kind.make();
+    const int n = kind.n;
+    const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
+    const std::uint64_t top_mask =
+        n % 64 == 0 ? ~0ull : (1ull << (n % 64)) - 1;
+    RecordingObserver word_obs;
+    RecordingObserver vec_obs;
+    word_twin->set_observer(&word_obs);
+    vec_twin->set_observer(&vec_obs);
+
+    // Both entries notify exactly once per cycle with the words and grant
+    // of that cycle, and the grant words are the single grant bit.
+    Rng rng(4100 + static_cast<std::uint64_t>(n));
+    std::vector<std::uint64_t> req(words, 0);
+    for (int cyc = 1; cyc <= 300; ++cyc) {
+      for (std::uint64_t& w : req) w = cyc % 5 == 0 ? 0 : rng.next_u64();
+      req.back() &= top_mask;
+      const int g = vec_twin->step_wide(req);
+      ASSERT_EQ(vec_obs.calls, cyc);
+      ASSERT_EQ(vec_obs.last_req, req);
+      ASSERT_EQ(vec_obs.last_grant, g);
+      std::vector<std::uint64_t> one_hot(words, 0);
+      if (g >= 0)
+        one_hot[static_cast<std::size_t>(g) >> 6] =
+            1ull << (static_cast<unsigned>(g) & 63u);
+      ASSERT_EQ(vec_twin->last_grant_words(), one_hot) << "cycle " << cyc;
+      if (n > 64) continue;
+      ASSERT_EQ(word_twin->step(req[0]), g) << "cycle " << cyc;
+      ASSERT_EQ(word_obs.calls, cyc);
+      ASSERT_EQ(word_obs.last_req, req);
+      ASSERT_EQ(word_obs.last_grant, g);
+      ASSERT_EQ(word_twin->last_grant_words(), one_hot);
+    }
+
+    // Too few request words CHECK-fail on either entry.
+    if (n > 64) {
+      EXPECT_THROW((void)vec_twin->step(1), CheckError);
+      EXPECT_THROW(
+          (void)vec_twin->step_wide(std::vector<std::uint64_t>(words - 1, 0)),
+          CheckError);
+    } else {
+      EXPECT_THROW((void)vec_twin->step_wide({}), CheckError);
+    }
+    EXPECT_EQ(vec_obs.calls, 300) << "a rejected step must not notify";
+
+    // Reset clears the grant words with the state.
+    vec_twin->reset();
+    EXPECT_EQ(vec_twin->last_grant_words(),
+              std::vector<std::uint64_t>(words, 0));
+  }
+
+  // Past the fault-free single grant bit, the grant words carry what the
+  // kind's hardware asserts.  Unhardened round-robin: a multi-hot register
+  // asserts every hot state's grant (F0 and F1 hot, ports 0 and 1
+  // requesting).
+  std::unique_ptr<core::Arbiter> rr =
+      core::make_arbiter(core::Policy::kRoundRobin, 8);
+  EXPECT_EQ(rr->num_state_bits(), 16);
+  rr->inject_state_bit(1);
+  EXPECT_EQ(rr->step(0b011), 0);
+  EXPECT_EQ(rr->last_grant_words(), std::vector<std::uint64_t>{0b011});
+
+  // The scalable kinds expose their packed registers.
+  const EveryKind tree{.n = 16, .kind = ArbiterKind::kHierarchical};
+  const EveryKind prefix{.n = 100, .kind = ArbiterKind::kPrefix};
+  EXPECT_EQ(tree.make()->num_state_bits(),
+            core::make_hier_shape(16, 4).num_state_bits());
+  EXPECT_EQ(prefix.make()->num_state_bits(), 100);
+
+  // Self-checking: the base register is copy 0's 2n bits.  An upset there
+  // gates every DMR grant off and is outvoted by TMR, whose voted grant
+  // words match a clean twin's.
+  for (const core::CheckMode mode :
+       {core::CheckMode::kDuplicate, core::CheckMode::kTmr}) {
+    core::SystemArbiterSpec spec;
+    spec.self_check = mode;
+    const core::SystemArbiter sc = core::make_system_arbiter(8, spec);
+    RoundRobinArbiter clean(8);
+    EXPECT_EQ(sc.arbiter->num_state_bits(), 16);
+    EXPECT_EQ(sc.arbiter->step(0b100), clean.step(0b100));
+    sc.arbiter->inject_state_bit(5);  // F5 joins C2 in copy 0
+    const int g = sc.arbiter->step(0b110);
+    EXPECT_TRUE(sc.sc->error()) << core::to_string(mode);
+    if (mode == core::CheckMode::kDuplicate) {
+      EXPECT_EQ(g, -1);
+      EXPECT_EQ(sc.arbiter->last_grant_words()[0], 0u);
+    } else {
+      EXPECT_EQ(g, clean.step(0b110));
+      EXPECT_EQ(sc.arbiter->last_grant_words(), clean.last_grant_words());
+    }
+  }
+
+  // Kinds that model no register report none and refuse an upset.
+  for (const core::Policy policy :
+       {core::Policy::kFifo, core::Policy::kPriority, core::Policy::kRandom}) {
+    std::unique_ptr<core::Arbiter> arb = core::make_arbiter(policy, 8);
+    EXPECT_EQ(arb->num_state_bits(), 0) << core::to_string(policy);
+    EXPECT_THROW(arb->inject_state_bit(0), CheckError);
+  }
 }
 
 // ================================================ kind selection + factory
@@ -900,13 +945,14 @@ TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
   hier_spec.kind = ArbiterKind::kHierarchical;
   hier_spec.arity = 2;
   auto hier = core::make_system_arbiter(96, hier_spec);
-  ASSERT_NE(hier.hier, nullptr);
+  ASSERT_NE(dynamic_cast<HierarchicalArbiter*>(hier.arbiter.get()), nullptr);
   EXPECT_EQ(hier.kind, ArbiterKind::kHierarchical);
+  EXPECT_EQ(hier.rr, nullptr);
 
   SystemArbiterSpec prefix_spec;
   prefix_spec.kind = ArbiterKind::kPrefix;
   auto prefix = core::make_system_arbiter(96, prefix_spec);
-  ASSERT_NE(prefix.prefix, nullptr);
+  ASSERT_NE(dynamic_cast<PrefixArbiter*>(prefix.arbiter.get()), nullptr);
 
   core::SystemArbiterSpec dmr;
   dmr.self_check = core::CheckMode::kDuplicate;
@@ -979,7 +1025,7 @@ TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
     ASSERT_NE(arb.rr, nullptr);
     const std::vector<std::uint64_t> two = {0, (1ull << 6) | (1ull << 63)};
     ASSERT_EQ(arb.arbiter->step_wide(two), 70);
-    arb.rr->inject_bit_flip(200);
+    arb.rr->inject_state_bit(200);
     EXPECT_EQ(arb.rr->state_name(), "C70+C72");
     EXPECT_EQ(arb.arbiter->step_wide(two), 70);
     const std::vector<std::uint64_t>& grants = arb.rr->last_grant_words();
@@ -996,7 +1042,7 @@ TEST(ArbiterFactory, BuildsTheMatchingSubclassWithTypedViews) {
   fifo.kind = ArbiterKind::kPrefix;
   const auto f = core::make_system_arbiter(8, fifo);
   EXPECT_EQ(f.rr, nullptr);
-  EXPECT_EQ(f.prefix, nullptr);
+  EXPECT_EQ(dynamic_cast<PrefixArbiter*>(f.arbiter.get()), nullptr);
   EXPECT_NE(f.arbiter, nullptr);
 }
 
