@@ -785,6 +785,46 @@ const EveryKind kEveryKind[] = {
     {.name = "tmr8", .check = core::CheckMode::kTmr},
 };
 
+TEST(WideObserver, EveryEntryPointNotifiesExactlyOnce) {
+  // A wide arbiter notifies once per step_wide cycle with every request
+  // word; a word-width arbiter notifies once from either entry.  A rejected
+  // word step on a wide arbiter notifies nothing.
+  core::PrefixArbiter wide(100);
+  RecordingObserver obs;
+  wide.set_observer(&obs);
+  const std::vector<std::uint64_t> req = {0, 1ull << 8};  // port 72 only
+  EXPECT_EQ(wide.step_wide(req), 72);
+  EXPECT_EQ(obs.calls, 1);
+  EXPECT_EQ(obs.last_req, req);
+  EXPECT_EQ(obs.last_grant, 72);
+  EXPECT_THROW((void)wide.step(1ull << 5), CheckError);
+  EXPECT_EQ(obs.calls, 1);
+
+  core::FifoArbiter narrow(8);
+  RecordingObserver nobs;
+  narrow.set_observer(&nobs);
+  EXPECT_EQ(narrow.step_wide(std::vector<std::uint64_t>{0b100}), 2);
+  EXPECT_EQ(nobs.calls, 1);
+  EXPECT_EQ(nobs.last_grant, 2);
+  EXPECT_EQ(narrow.step(0b1000), 3);
+  EXPECT_EQ(nobs.calls, 2);
+  EXPECT_EQ(nobs.last_req, std::vector<std::uint64_t>{0b1000});
+  EXPECT_EQ(nobs.last_grant, 3);
+}
+
+TEST(WideObserver, BaseStepWideRejectsWidthsPast64) {
+  // The word entry serves up to 64 ports; past that it must refuse the
+  // request vector it cannot carry, as must a too-short step_wide.
+  RoundRobinArbiter narrow(64);
+  EXPECT_EQ(narrow.step_wide(std::vector<std::uint64_t>{1ull << 63}), 63);
+  EXPECT_EQ(narrow.step(1ull << 62), 62);
+  RoundRobinArbiter wide(100);
+  EXPECT_THROW((void)wide.step(1), CheckError);
+  EXPECT_THROW((void)wide.step_wide(std::vector<std::uint64_t>{1}),
+               CheckError);
+  EXPECT_EQ(wide.step_wide(std::vector<std::uint64_t>{0, 1ull << 35}), 99);
+}
+
 TEST(ArbiterContract, EveryKindStepsThroughOneEntryAndOneHook) {
   for (const EveryKind& kind : kEveryKind) {
     SCOPED_TRACE(kind.name);
