@@ -28,7 +28,7 @@ flow::FlowReport run_fft(bool elide) {
   Rng rng(99);
   fft::Block block{};
   for (auto& row : block)
-    for (auto& v : row) v = rng.next_in(-100, 100);
+    for (auto& v : row) v = static_cast<fft::Pixel>(rng.next_in(-100, 100));
   flow::FlowOptions o;
   for (std::size_t r = 0; r < 4; ++r)
     o.preload.emplace_back(

@@ -28,7 +28,7 @@ fft::Block sample_block() {
   Rng rng(2026);
   fft::Block block{};
   for (auto& row : block)
-    for (auto& v : row) v = rng.next_in(-128, 127);
+    for (auto& v : row) v = static_cast<fft::Pixel>(rng.next_in(-128, 127));
   return block;
 }
 

@@ -23,7 +23,7 @@ int main() {
   fft::Block block{};
   int v = 0;
   for (auto& row : block)
-    for (auto& px : row) px = (v++ * 31) % 97 - 48;
+    for (auto& px : row) px = static_cast<fft::Pixel>((v++ * 31) % 97 - 48);
 
   flow::FlowOptions options;
   for (std::size_t r = 0; r < 4; ++r)

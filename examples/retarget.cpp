@@ -20,7 +20,7 @@ int main() {
   fft::Block block{};
   int v = 1;
   for (auto& row : block)
-    for (auto& px : row) px = (v++ * 13) % 41 - 20;
+    for (auto& px : row) px = static_cast<fft::Pixel>((v++ * 13) % 41 - 20);
   const fft::BlockSpectrum want = fft::fft2d_4x4(block);
 
   for (const board::Board& board :

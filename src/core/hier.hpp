@@ -109,6 +109,8 @@ class HierarchicalArbiter final : public Arbiter {
   [[nodiscard]] std::uint64_t waiting_bound(int input) const {
     return shape_.waiting_bound(input);
   }
+  /// No holder: an idle step moves no pointer.
+  [[nodiscard]] bool idle_fixed_point() const override { return !valid_; }
 
  protected:
   int transition(std::span<const std::uint64_t> requests) override;
@@ -139,6 +141,8 @@ class PrefixArbiter final : public Arbiter {
   [[nodiscard]] std::uint64_t waiting_bound(int) const {
     return static_cast<std::uint64_t>(n_ - 1);
   }
+  /// The pointer loads only on a grant, so every state is one.
+  [[nodiscard]] bool idle_fixed_point() const override { return true; }
 
  protected:
   int transition(std::span<const std::uint64_t> requests) override;

@@ -201,6 +201,10 @@ RoundRobinArbiter::StateWords RoundRobinArbiter::state_words() const {
 
 bool RoundRobinArbiter::state_legal() const { return hot_count_ == 1; }
 
+bool RoundRobinArbiter::idle_fixed_point() const {
+  return hot_count_ == 1 && !state_of(hot_bit_).in_c && held_cycles_ == 0;
+}
+
 void RoundRobinArbiter::inject_state_bit(int bit) {
   RCARB_CHECK(bit >= 0 && bit < 2 * n_, "state bit out of range");
   const std::size_t b = state_bit(bit < n_ ? bit : bit - n_, bit >= n_);

@@ -105,6 +105,13 @@ class Arbiter {
     reset_state();
   }
 
+  /// True when a step on an all-zero request vector would grant nobody
+  /// and leave every register as it is, so a host may account any number
+  /// of idle cycles without stepping them.  The default is false: a kind
+  /// that does not say so (the LFSR arbiter, whose register advances every
+  /// step) is always stepped.
+  [[nodiscard]] virtual bool idle_fixed_point() const { return false; }
+
   /// Bits of the SEU-exposed state register; 0 for kinds that model none.
   [[nodiscard]] virtual int num_state_bits() const { return 0; }
   /// SEU injection: XOR one bit of the state register
@@ -191,6 +198,10 @@ class RoundRobinArbiter final : public Arbiter {
   /// True when the register holds exactly one hot bit.
   [[nodiscard]] bool state_legal() const;
 
+  /// A legal free state Fi: an idle step keeps it (Ci retires to F(i+1)
+  /// on its first idle step and stays there).
+  [[nodiscard]] bool idle_fixed_point() const override;
+
   /// The 2n bits of the one-hot register (bit i = Fi, bit n+i = Ci).
   [[nodiscard]] int num_state_bits() const override { return 2 * n_; }
   void inject_state_bit(int bit) override;
@@ -246,6 +257,9 @@ class FifoArbiter final : public Arbiter {
  public:
   explicit FifoArbiter(int n);
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] bool idle_fixed_point() const override {
+    return queue_.empty() && holder_ < 0;
+  }
 
  protected:
   int transition(std::span<const std::uint64_t> requests) override;
@@ -262,6 +276,9 @@ class PriorityArbiter final : public Arbiter {
  public:
   explicit PriorityArbiter(int n);
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] bool idle_fixed_point() const override {
+    return holder_ < 0;
+  }
 
  protected:
   int transition(std::span<const std::uint64_t> requests) override;
@@ -276,6 +293,9 @@ class RandomArbiter final : public Arbiter {
  public:
   RandomArbiter(int n, std::uint64_t seed);
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] bool idle_fixed_point() const override {
+    return holder_ < 0;
+  }
 
  protected:
   int transition(std::span<const std::uint64_t> requests) override;

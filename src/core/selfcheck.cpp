@@ -135,6 +135,16 @@ void SelfCheckingArbiter::latch_up(int copy) {
       copies_[static_cast<std::size_t>(copy)].state_words();
 }
 
+bool SelfCheckingArbiter::idle_fixed_point() const {
+  if (error_) return false;
+  const RoundRobinArbiter::StateWords s0 = copies_[0].state_words();
+  for (std::size_t c = 0; c < copies_.size(); ++c)
+    if (!copies_[c].idle_fixed_point() || !(copies_[c].state_words() == s0) ||
+        (latched_[c] && !(latched_state_[c] == s0)))
+      return false;
+  return true;
+}
+
 void SelfCheckingArbiter::clear_latch_up() {
   latched_.assign(copies_.size(), false);
 }

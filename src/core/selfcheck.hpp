@@ -94,6 +94,10 @@ class SelfCheckingArbiter final : public Arbiter {
   void clear_latch_up();
   [[nodiscard]] bool latched() const;
 
+  /// No comparator error, and every copy (a latched one frozen there too)
+  /// holds the same idle fixed point.
+  [[nodiscard]] bool idle_fixed_point() const override;
+
  protected:
   /// Grant words: DMR gates them off while the comparator fires; TMR
   /// asserts the bitwise majority of the copies.

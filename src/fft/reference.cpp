@@ -29,7 +29,10 @@ std::array<Complex64, 4> dft4(const std::array<Complex64, 4>& x) {
 BlockSpectrum fft2d_4x4(const Block& block) {
   // First dimension: one DFT per row.
   std::array<std::array<Complex64, 4>, 4> rows;
-  for (std::size_t r = 0; r < 4; ++r) rows[r] = dft4(block[r]);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const auto& px = block[r];
+    rows[r] = dft4(std::array<std::int64_t, 4>{px[0], px[1], px[2], px[3]});
+  }
   // Second dimension: one DFT per column of the row results.
   BlockSpectrum out;
   for (std::size_t c = 0; c < 4; ++c) {

@@ -25,8 +25,12 @@ struct Complex64 {
 [[nodiscard]] std::array<Complex64, 4> dft4(
     const std::array<Complex64, 4>& x);
 
+/// One input sample.  The paper's image is 8-bit; 16 bits leave headroom
+/// and keep a 512x512 image of blocks at 0.5 MB instead of 2 MB.
+using Pixel = std::int16_t;
+
 /// A 4x4 pixel block, row-major: block[row][col].
-using Block = std::array<std::array<std::int64_t, 4>, 4>;
+using Block = std::array<std::array<Pixel, 4>, 4>;
 
 /// The full 2-D transform: row DFTs then column DFTs.  out[col][k] is the
 /// k-th output of the column-`col` DFT over the row-DFT results.

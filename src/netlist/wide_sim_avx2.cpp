@@ -1,8 +1,9 @@
-// 256-lane AVX2 kernel for WideLaneSimulator.
+// 256- and 512-lane AVX2 kernels for WideLaneSimulator.
 //
 // Compiled with -mavx2 (see netlist/CMakeLists.txt); nothing here runs
 // before the cpuid gate in the WideLaneSimulator constructor.  This TU
-// instantiates exactly one engine type, WideSimImpl<Avx2Word>, so no
+// instantiates only its own engine types, WideSimImpl<Avx2Word> and
+// WideSimImpl<Avx2PairWord>, both over internal-linkage word types, so no
 // AVX2-compiled symbol can be COMDAT-merged into baseline code paths.
 #include "netlist/wide_sim_impl.hpp"
 
@@ -39,12 +40,45 @@ struct Avx2Word {
   }
 };
 
+/// 512 lanes as two 256-bit halves: an AVX2 host runs the default replica
+/// width on vector ops instead of the portable kernel.
+struct Avx2PairWord {
+  static constexpr std::size_t kWords = 8;
+  Avx2Word lo;
+  Avx2Word hi;
+
+  static Avx2PairWord zero() { return {Avx2Word::zero(), Avx2Word::zero()}; }
+  static Avx2PairWord ones() { return {Avx2Word::ones(), Avx2Word::ones()}; }
+  static Avx2PairWord broadcast(std::uint64_t x) {
+    return {Avx2Word::broadcast(x), Avx2Word::broadcast(x)};
+  }
+  static Avx2PairWord load(const std::uint64_t* p) {
+    return {Avx2Word::load(p), Avx2Word::load(p + Avx2Word::kWords)};
+  }
+  static void store(Avx2PairWord w, std::uint64_t* p) {
+    Avx2Word::store(w.lo, p);
+    Avx2Word::store(w.hi, p + Avx2Word::kWords);
+  }
+  static Avx2PairWord mux(Avx2PairWord t0, Avx2PairWord t1, Avx2PairWord s) {
+    return {Avx2Word::mux(t0.lo, t1.lo, s.lo),
+            Avx2Word::mux(t0.hi, t1.hi, s.hi)};
+  }
+  static bool equal(Avx2PairWord a, Avx2PairWord b) {
+    const __m256i diff = _mm256_or_si256(_mm256_xor_si256(a.lo.v, b.lo.v),
+                                         _mm256_xor_si256(a.hi.v, b.hi.v));
+    return _mm256_testz_si256(diff, diff) != 0;
+  }
+};
+
 }  // namespace
 
 std::unique_ptr<WideSimBase> make_wide_sim_avx2(const Netlist& nl,
                                                 std::size_t lanes) {
-  if (lanes != Avx2Word::kWords * 64) return nullptr;
-  return std::make_unique<WideSimImpl<Avx2Word>>(nl, lanes);
+  if (lanes == Avx2Word::kWords * 64)
+    return std::make_unique<WideSimImpl<Avx2Word>>(nl, lanes);
+  if (lanes == Avx2PairWord::kWords * 64)
+    return std::make_unique<WideSimImpl<Avx2PairWord>>(nl, lanes);
+  return nullptr;
 }
 
 }  // namespace rcarb::netlist::detail

@@ -4,11 +4,13 @@
 //
 //   wide_simulator.cpp   — portable kernels (std::array-style uint64 words,
 //                          compiled with the project's baseline flags),
-//   wide_sim_avx2.cpp    — the 256-lane kernel (compiled with -mavx2),
+//   wide_sim_avx2.cpp    — the 256- and 512-lane kernels (compiled with
+//                          -mavx2),
 //   wide_sim_avx512.cpp  — the 512-lane kernel (compiled with -mavx512f).
 //
 // ODR discipline: the AVX translation units instantiate *only* their own
-// word types (WideSimImpl<Avx2Word> / WideSimImpl<Avx512Word>), so no
+// internal-linkage word types (WideSimImpl<Avx2Word>,
+// WideSimImpl<Avx2PairWord> / WideSimImpl<Avx512Word>), so no
 // symbol compiled with a wider ISA can ever be COMDAT-selected into a
 // binary path that runs before the cpuid check.  All shared, non-template
 // machinery — the SoA construction, the dirty-bitmask bookkeeping — lives

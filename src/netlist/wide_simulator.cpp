@@ -175,12 +175,13 @@ WideLaneSimulator::WideLaneSimulator(const Netlist& netlist,
   // only narrow it further.
   const SimdTier cap = simd_tier();
   tier_ = std::min(tier.value_or(cap), cap);
-  if (words_ == 4 && tier_ >= SimdTier::kAvx2) {
-    impl_ = detail::make_wide_sim_avx2(netlist, lanes);
-    if (impl_) tier_ = SimdTier::kAvx2;
-  } else if (words_ == 8 && tier_ >= SimdTier::kAvx512) {
+  if (words_ == 8 && tier_ >= SimdTier::kAvx512) {
     impl_ = detail::make_wide_sim_avx512(netlist, lanes);
     if (impl_) tier_ = SimdTier::kAvx512;
+  }
+  if (!impl_ && (words_ == 4 || words_ == 8) && tier_ >= SimdTier::kAvx2) {
+    impl_ = detail::make_wide_sim_avx2(netlist, lanes);
+    if (impl_) tier_ = SimdTier::kAvx2;
   }
   if (!impl_) {
     impl_ = detail::make_wide_sim_portable(netlist, lanes);

@@ -9,7 +9,8 @@
 //   * portable — std::uint64_t[W] arithmetic the compiler auto-vectorizes;
 //     works at every width and on every architecture (the only kernel on
 //     non-x86 builds),
-//   * avx2     — 256-bit ops for the 256-lane width,
+//   * avx2     — 256-bit ops for the 256-lane width, and pairs of them
+//     for the 512-lane width where AVX-512 is unavailable,
 //   * avx512   — 512-bit ops (one ternlog per mux step) for the 512-lane
 //     width.
 //

@@ -86,6 +86,9 @@ struct ArbiterRecord {
   }
   bool was_illegal = false;
   bool holder_accessed = false;
+  // The last sample stepped on a zero request word and asserted no grant,
+  // so the probe's next idle step is a no-op.
+  bool sampled_idle = false;
   // A plain arbiter wedged by a latch-up: its register is re-frozen to the
   // (illegal) all-zero code before every sample — reset and hardening
   // cannot clear a latch-up, only reconfiguration can.
@@ -143,6 +146,7 @@ struct SystemSimulator::TaskCtx {
   std::int64_t regs[tg::kNumRegs] = {};
   std::vector<LoopFrame> loops;
   std::int64_t compute_left = 0;  // remaining busy cycles of a kCompute
+  int waiting_on = 0;  // unfinished in-run control predecessors
   // Arbitration protocol state.
   int requesting = -1;  // resource whose Req line this task asserts (-1 none)
   // Resource whose request was auto-deasserted during send backpressure
@@ -239,6 +243,11 @@ class SystemSimulator::Engine {
       RCARB_CHECK(t < graph_.num_tasks(), "task out of range");
       ctx_[t].in_run = true;
     }
+    // Tasks outside the run count as finished predecessors.
+    for (const auto& [pred, succ] : graph_.control_deps())
+      if (ctx_[pred].in_run && ctx_[succ].in_run) ++ctx_[succ].waiting_on;
+    for (const TaskCtx& c : ctx_)
+      if (c.in_run && c.waiting_on == 0) ++ready_;
     chan_reg_.resize(graph_.num_channels());
     naive_reg_.resize(binding_.num_phys_channels);
     bank_user_.resize(binding_.num_banks);
@@ -258,6 +267,10 @@ class SystemSimulator::Engine {
   /// finished, or max_cycles / the no-progress window stopped it.
   bool step() {
     if (finished_count_ >= tasks_.size() || !within_limits()) return false;
+    if (const std::uint64_t h = quiet_cycles(); h > 0) {
+      skip(h);
+      return true;
+    }
     inject_faults();
     if (degrade_on_) supervise();
     sample_arbiters();
@@ -402,6 +415,78 @@ class SystemSimulator::Engine {
     }
   }
 
+  // ------------------------------------------------------ quiet stretches
+
+  // How many cycles from cycle_ on are quiet (DESIGN.md §17): every running
+  // task is inside a compute with two or more cycles left and holds no Req,
+  // retry or backoff state; no task is ready to start; no quarantine is
+  // open; and every live arbiter last stepped idle into the fixed point of
+  // its idle step.  Stepping a quiet cycle only counts the computes down,
+  // so the stretch runs until the first compute is one cycle from retiring,
+  // the next scheduled fault or stuck-window edge, or max_cycles.  0 when
+  // cycle_ is not quiet.
+  std::uint64_t quiet_cycles() const {
+    if (ready_ > 0) return 0;
+    std::uint64_t h = opt_.max_cycles - cycle_;
+    bool running = false;
+    for (TaskId t : tasks_) {
+      const TaskCtx& c = ctx_[t];
+      if (!c.started || c.finished) continue;
+      if (c.compute_left < 2 || c.requesting >= 0 || c.retry_resource >= 0)
+        return 0;
+      h = std::min(h, static_cast<std::uint64_t>(c.compute_left - 1));
+      running = true;
+    }
+    // Without a running compute nothing marks progress, and the
+    // no-progress window must see every cycle.
+    if (!running) return 0;
+    for (const ArbiterRecord& rec : arbs_)
+      if (!rec.retired && (!rec.sampled_idle || rec.was_illegal ||
+                           !rec.hw.arbiter->idle_fixed_point()))
+        return 0;
+    if (degrade_on_)
+      for (const QuarCtx& q : quar_)
+        if (q.state == degrade::QuarantineState::kDraining ||
+            q.state == degrade::QuarantineState::kReconfiguring)
+          return 0;
+    const auto until = [&](std::uint64_t at) {
+      h = std::min(h, at > cycle_ ? at - cycle_ : 0);
+    };
+    if (flip_next_ < flips_.size()) until(flips_[flip_next_].cycle);
+    if (perm_next_ < perm_res_.size()) until(perm_res_[perm_next_].first);
+    if (latch_next_ < latchups_.size()) until(latchups_[latch_next_].first);
+    // A window's opening cycle emits its fault event, so it is stepped; an
+    // open stuck-1 window is a request.  Closing edges need no bound: only
+    // a stuck-1 line changes what an idle arbiter samples.
+    for (const StuckWindow& w : stucks_) {
+      if (w.from >= cycle_)
+        until(w.from);
+      else if (w.kind == fault::FaultKind::kReqStuck1 && w.active(cycle_))
+        return 0;
+    }
+    return h;
+  }
+
+  // Accounts h quiet cycles as h steps would: the computes count down,
+  // every live arbiter samples h zero words, and each cycle serves unless
+  // the stretch's (constant) degraded predicate holds.
+  void skip(std::uint64_t h) {
+    for (TaskId t : tasks_) {
+      TaskCtx& c = ctx_[t];
+      if (c.started && !c.finished)
+        c.compute_left -= static_cast<std::int64_t>(h);
+    }
+    if (opt_.record_request_trace)
+      for (std::size_t a = 0; a < arbs_.size(); ++a)
+        if (!arbs_[a].retired)
+          result_.request_trace[a].insert(result_.request_trace[a].end(), h,
+                                          0);
+    account_serving(h);
+    cycle_ += h;
+    last_progress_cycle_ = cycle_ - 1;
+    result_.skipped_cycles += h;
+  }
+
   // ---------------------------------------------------------- cycle phases
 
   bool within_limits() {
@@ -483,6 +568,7 @@ class SystemSimulator::Engine {
       const std::uint64_t mask = rec.hw.arbiter->last_grant_words()[0];
       collect_evidence(a, mask);
       rec.grant_mask = mask & ~grant_suppress;
+      rec.sampled_idle = eff == 0 && mask == 0;
       account_grant(a, g);
     }
   }
@@ -654,13 +740,11 @@ class SystemSimulator::Engine {
 
   // Starts the tasks whose in-run predecessors have finished.
   void start_tasks() {
+    if (ready_ == 0) return;
     for (TaskId t : tasks_) {
       TaskCtx& c = ctx_[t];
-      if (c.started || c.finished) continue;
-      bool ready = true;
-      for (TaskId p : graph_.predecessors(t))
-        if (ctx_[p].in_run && !ctx_[p].finished) ready = false;
-      if (!ready) continue;
+      if (c.started || c.waiting_on > 0) continue;
+      --ready_;
       c.started = true;
       c.stats.ran = true;
       c.stats.start_cycle = cycle_;
@@ -729,6 +813,9 @@ class SystemSimulator::Engine {
     c.finished = true;
     c.stats.finish_cycle = cycle_;
     ++finished_count_;
+    for (const auto& [pred, succ] : graph_.control_deps())
+      if (pred == t && ctx_[succ].in_run && --ctx_[succ].waiting_on == 0)
+        ++ready_;
     trace(obs::TraceKind::kTaskFinish, static_cast<int>(t), -1, -1, 0);
     if (c.requesting >= 0)
       fail(DiagKind::kProtocolViolation, static_cast<int>(t), c.requesting,
@@ -1317,10 +1404,11 @@ class SystemSimulator::Engine {
     }
   }
 
-  // Serving-cycle (availability) accounting.  A cycle serves unless a
-  // quarantine was in progress, an access failed, or a live task is stuck
-  // against a failed / capacity-exhausted resource.
-  void account_serving() {
+  // Serving-cycle (availability) accounting over `cycles` cycles that share
+  // one verdict.  A cycle serves unless a quarantine was in progress, an
+  // access failed, or a live task is stuck against a failed /
+  // capacity-exhausted resource.
+  void account_serving(std::uint64_t cycles = 1) {
     if (degrade_on_ || perm_next_ > 0 || latch_next_ > 0) {
       if (!degraded_cycle_) {
         for (TaskId t : tasks_) {
@@ -1340,9 +1428,9 @@ class SystemSimulator::Engine {
           }
         }
       }
-      if (!degraded_cycle_) ++result_.serving_cycles;
+      if (!degraded_cycle_) result_.serving_cycles += cycles;
     } else {
-      ++result_.serving_cycles;  // no permanent fault active yet
+      result_.serving_cycles += cycles;  // no permanent fault active yet
     }
     degraded_cycle_ = false;
   }
@@ -1819,6 +1907,7 @@ class SystemSimulator::Engine {
   std::uint64_t cycle_ = 0;
   std::uint64_t last_progress_cycle_ = 0;
   std::size_t finished_count_ = 0;
+  std::size_t ready_ = 0;  // unstarted in-run tasks with waiting_on == 0
   // Set anywhere in the cycle that degradation affected service; cleared
   // after the serving-cycle accounting at the end of the cycle.
   bool degraded_cycle_ = false;

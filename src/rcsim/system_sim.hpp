@@ -92,8 +92,9 @@ struct SimOptions {
   /// or strings are formatted on the simulation path.
   obs::TraceSink* trace_sink = nullptr;
   /// Attach per-arbiter metric probes; results land in
-  /// SimResult::arbiter_obs.  Off by default: the probes cost ~5-10% on
-  /// simulation-bound workloads (the flow turns them on for its summary).
+  /// SimResult::arbiter_obs.  Off by default: the probes cost ~13% of the
+  /// host time of the paper's Sec. 5 FFT block, with or without quiet
+  /// stretches skipped (the flow turns them on for its summary).
   bool arbiter_metrics = false;
   /// Build the human-readable `detail` string of each diagnostic.  Off,
   /// diagnostics still carry kind/cycle/task/resource (count() and kind
@@ -225,6 +226,10 @@ struct SimResult {
   std::uint64_t serving_cycles = 0;
   /// One lifecycle record per quarantined resource (MTTR accounting).
   std::vector<degrade::QuarantineRecord> quarantine_events;
+
+  /// Cycles accounted in bulk instead of stepped: quiet compute stretches
+  /// (DESIGN.md §17).  Every other field reads as if each had been stepped.
+  std::uint64_t skipped_cycles = 0;
 
   std::vector<SimDiagnostic> diagnostics;
 

@@ -82,7 +82,7 @@ TEST(Reference, ParsevalHoldsFor2d) {
   std::int64_t input_energy = 0;
   for (auto& row : block)
     for (auto& v : row) {
-      v = rng.next_in(-20, 20);
+      v = static_cast<Pixel>(rng.next_in(-20, 20));
       input_energy += v * v;
     }
   const BlockSpectrum spec = fft2d_4x4(block);
@@ -156,7 +156,7 @@ TEST(FftDesign, ComputesTheExactSpectrum) {
   for (int trial = 0; trial < 10; ++trial) {
     Block block{};
     for (auto& row : block)
-      for (auto& v : row) v = rng.next_in(-128, 127);
+      for (auto& v : row) v = static_cast<Pixel>(rng.next_in(-128, 127));
     rcsim::SystemSimulator sim(ins.graph, binding, ins.plan);
     load_block(sim, d, block);
     std::vector<tg::TaskId> all;

@@ -15,7 +15,7 @@ fft::Block test_block(std::uint64_t seed) {
   Rng rng(seed);
   fft::Block block{};
   for (auto& row : block)
-    for (auto& v : row) v = rng.next_in(-128, 127);
+    for (auto& v : row) v = static_cast<fft::Pixel>(rng.next_in(-128, 127));
   return block;
 }
 

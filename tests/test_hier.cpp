@@ -14,10 +14,12 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/arbiter_factory.hpp"
@@ -927,6 +929,96 @@ TEST(ArbiterContract, EveryKindStepsThroughOneEntryAndOneHook) {
     std::unique_ptr<core::Arbiter> arb = core::make_arbiter(policy, 8);
     EXPECT_EQ(arb->num_state_bits(), 0) << core::to_string(policy);
     EXPECT_THROW(arb->inject_state_bit(0), CheckError);
+  }
+}
+
+// A host may account idle cycles without stepping an arbiter only while
+// idle_fixed_point() holds (rcsim's quiet stretches).  For every kind, a
+// copy that takes extra all-zero steps whenever the predicate holds must
+// grant nothing on them and then match an untouched twin grant for grant,
+// through upsets, hardened recoveries, preemption and self-check latch-ups.
+// The LFSR arbiter never claims the fixed point: its register advances on
+// every step, so extra idle steps change whom it picks later.
+TEST(ArbiterContract, IdleFixedPointMeansIdleStepsChangeNothing) {
+  struct Case {
+    std::string name;
+    std::function<std::unique_ptr<core::Arbiter>()> make;
+  };
+  std::vector<Case> cases;
+  for (const EveryKind& kind : kEveryKind)
+    cases.push_back({kind.name, [kind] { return kind.make(); }});
+  for (const auto& [name, rr] :
+       {std::pair{"rr8_hardened", core::RoundRobinOptions{0, true}},
+        std::pair{"rr8_preempt2", core::RoundRobinOptions{2, false}}})
+    cases.push_back({name, [rr] {
+                       return std::make_unique<RoundRobinArbiter>(8, rr);
+                     }});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::unique_ptr<core::Arbiter> skipper = c.make();
+    const std::unique_ptr<core::Arbiter> twin = c.make();
+    const int n = skipper->size();
+    const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
+    const std::vector<std::uint64_t> idle(words, 0);
+    auto* sc_skipper = dynamic_cast<core::SelfCheckingArbiter*>(skipper.get());
+    auto* sc_twin = dynamic_cast<core::SelfCheckingArbiter*>(twin.get());
+    Rng rng(8800 + static_cast<std::uint64_t>(n));
+    int idle_points = 0;
+    int diverged = 0;
+    std::vector<std::uint64_t> req(words, 0);
+    for (int cyc = 0; cyc < 4000; ++cyc) {
+      if (cyc % 211 == 17 && skipper->num_state_bits() > 0) {
+        const int bit =
+            static_cast<int>(rng.next_below(
+                static_cast<std::uint64_t>(skipper->num_state_bits())));
+        skipper->inject_state_bit(bit);
+        twin->inject_state_bit(bit);
+      }
+      if (cyc == 2500 && sc_skipper != nullptr) {
+        sc_skipper->latch_up(1);
+        sc_twin->latch_up(1);
+      }
+      if (skipper->idle_fixed_point()) {
+        ++idle_points;
+        const int extra = 1 + static_cast<int>(rng.next_below(4));
+        for (int k = 0; k < extra; ++k) {
+          ASSERT_EQ(skipper->step_wide(idle), -1) << "cycle " << cyc;
+          ASSERT_EQ(skipper->last_grant_words(), idle) << "cycle " << cyc;
+        }
+      }
+      // Bursts of two or three requesters between idle gaps.
+      std::fill(req.begin(), req.end(), 0);
+      if (cyc % 9 < 5)
+        for (int k = 0; k < 2 + cyc % 2; ++k) {
+          const auto p =
+              static_cast<std::size_t>(rng.next_below(
+                  static_cast<std::uint64_t>(n)));
+          req[p >> 6] |= 1ull << (p & 63u);
+        }
+      const int g = skipper->step_wide(req);
+      const int want = twin->step_wide(req);
+      if (g != want || skipper->last_grant_words() != twin->last_grant_words())
+        ++diverged;
+    }
+    if (c.name == "lfsr8") {
+      EXPECT_EQ(idle_points, 0) << "the LFSR advances on every step";
+      // Idle steps the predicate refuses do move later picks.
+      const std::unique_ptr<core::Arbiter> lfsr = c.make();
+      const std::unique_ptr<core::Arbiter> lfsr_twin = c.make();
+      int moved = 0;
+      for (int cyc = 0; cyc < 200; ++cyc) {
+        if (cyc % 4 == 0) (void)lfsr->step_wide(idle);
+        const std::vector<std::uint64_t> all(words, 0xffull);
+        moved += lfsr->step_wide(all) != lfsr_twin->step_wide(all);
+        (void)lfsr->step_wide(idle);
+        (void)lfsr_twin->step_wide(idle);
+      }
+      EXPECT_GT(moved, 0);
+    } else {
+      EXPECT_GT(idle_points, 100);
+      EXPECT_EQ(diverged, 0);
+    }
   }
 }
 

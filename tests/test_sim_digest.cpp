@@ -11,6 +11,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/insertion.hpp"
@@ -187,6 +188,7 @@ enum class Variant {
   kOverload,   // retry timeout, admission limit, retry budget
   kCut,        // max_cycles lands mid-run
   kBare,       // no probes, no request trace, no sink, no details
+  kFragile,    // degradation without hardening; one strike quarantines
 };
 constexpr Variant kVariants[] = {Variant::kPlain, Variant::kResilient,
                                  Variant::kOverload, Variant::kCut,
@@ -349,6 +351,10 @@ std::uint64_t run_cell(const Design& d, const ArbiterConfig& arb,
     if (variant == Variant::kOverload) {
       so.admission_limit = 1;
       so.retry_budget = 2;
+    }
+    if (variant == Variant::kFragile) {
+      so.degrade.enabled = true;
+      so.degrade.strikes = 1;
     }
     if (variant == Variant::kCut) so.max_cycles = d.cut_cycles;
     SystemSimulator sim(stage.graph, stage.binding, stage.plan, so);
@@ -514,6 +520,29 @@ TEST(SimDigest, SharedChannel) {
       0x8e54c68c558aa31aull,
       0x51b69174cf109f48ull};
   expect_pinned(channel_design(), "channel", kPinned);
+}
+
+// A single upset quarantines an unhardened self-checking arbiter, whose
+// reconfiguration stall then runs while the other tasks compute: the
+// stretch must not jump over the end of the stall.
+TEST(SimDigest, QuarantineInsideComputeStretches) {
+  const std::pair<const char*, Design> designs[] = {
+      {"fft", fft_design()}, {"fig8", fig8_design()},
+      {"channel", channel_design()}};
+  constexpr std::uint64_t kPinned[] = {
+      0xca597b68d88f9c8bull,
+      0x20e2ba0b446b5991ull,
+      0x92c3bf07ec95e206ull};
+  for (std::size_t i = 0; i < std::size(designs); ++i) {
+    Digest d;
+    for (const ArbiterConfig& arb : kArbiters)
+      for (const Plan p : kPlans)
+        d.u64(run_cell(designs[i].second, arb, Variant::kFragile, p));
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016" PRIx64 "ull", d.value());
+    EXPECT_EQ(d.value(), kPinned[i])
+        << designs[i].first << " digest is " << buf;
+  }
 }
 
 }  // namespace

@@ -192,10 +192,15 @@ void check_cross_width(const Netlist& nl, std::uint64_t seed) {
     cfg.lanes = lanes;
     cfg.tier = std::nullopt;  // auto: widest kernel this machine has
     const std::vector<std::uint64_t> auto_tier = run_wide(nl, p, seed, cfg);
+    cfg.tier = SimdTier::kAvx2;  // capped at the AVX2 kernels
+    const std::vector<std::uint64_t> avx2 = run_wide(nl, p, seed, cfg);
     cfg.tier = SimdTier::kScalar;  // forced-portable kernel
     const std::vector<std::uint64_t> portable = run_wide(nl, p, seed, cfg);
     ASSERT_EQ(auto_tier, portable)
         << "SIMD kernel diverged from the portable kernel at " << lanes
+        << " lanes";
+    ASSERT_EQ(avx2, portable)
+        << "AVX2 kernel diverged from the portable kernel at " << lanes
         << " lanes";
     by_width.push_back(auto_tier);
   }
@@ -256,6 +261,11 @@ TEST(WideKernel, DispatchReportsAtMostTheMachineTier) {
     }
     if (lanes == 512 && simd_tier() >= SimdTier::kAvx512) {
       EXPECT_EQ(sim.kernel_tier(), SimdTier::kAvx512);
+    }
+    // Capped at AVX2, both wide widths still run a vector kernel.
+    if (lanes >= 256 && simd_tier() >= SimdTier::kAvx2) {
+      WideLaneSimulator avx2(s.netlist, lanes, SimdTier::kAvx2);
+      EXPECT_EQ(avx2.kernel_tier(), SimdTier::kAvx2);
     }
     // Forcing the portable kernel always sticks.
     WideLaneSimulator forced(s.netlist, lanes, SimdTier::kScalar);
